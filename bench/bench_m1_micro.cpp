@@ -3,6 +3,8 @@
 // in the substrate are visible.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench_report.h"
 #include "condorg/batch/fifo_scheduler.h"
 #include "condorg/classad/parser.h"
@@ -69,8 +71,9 @@ void BM_Matchmaking(benchmark::State& state) {
   std::vector<ca::ClassAd> slots;
   for (std::size_t i = 0; i < n; ++i) {
     jobs.push_back({std::to_string(i),
-                    ca::parse_ad("[Requirements = other.Memory >= 128; Rank "
-                                 "= other.Memory]")});
+                    std::make_shared<const ca::ClassAd>(
+                        ca::parse_ad("[Requirements = other.Memory >= 128; "
+                                     "Rank = other.Memory]"))});
     slots.push_back(ca::parse_ad(
         "[Name = \"s" + std::to_string(i) + "\"; Memory = " +
         std::to_string(128 + (i % 8) * 64) + "; State = \"Unclaimed\"]"));

@@ -5,6 +5,7 @@
 // grids so tools/bench_compare.py can show the prefilter speedup.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,10 +53,11 @@ std::vector<cc::IdleJob> make_jobs(std::size_t n) {
     const std::int64_t min_memory = 128 << rng.below(4);
     jobs.push_back(
         {std::to_string(i),
-         ca::parse_ad("[ImageSize = " + std::to_string(image) +
-                      "; Requirements = other.Arch == \"X86_64\" && "
-                      "other.Memory >= " + std::to_string(min_memory) +
-                      "; Rank = other.Mips]")});
+         std::make_shared<const ca::ClassAd>(ca::parse_ad(
+             "[ImageSize = " + std::to_string(image) +
+             "; Requirements = other.Arch == \"X86_64\" && "
+             "other.Memory >= " + std::to_string(min_memory) +
+             "; Rank = other.Mips]"))});
   }
   return jobs;
 }

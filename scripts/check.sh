@@ -68,6 +68,16 @@ CONDORG_DETSAN=1 CONDORG_BENCH_DIR="$(mktemp -d)" \
   --benchmark_filter='BM_SubmissionStorm/1000x8sites' >/dev/null
 stage_end
 
+stage_begin "perfbench self-test (all campaigns + planted defects)"
+# Smokes every perfbench workload at reduced size through the same
+# correctness gate the benchmark applies (auditor, exactly-once, DetSan,
+# no unknown messages), checks metric names and units against
+# BENCHMARK.json, and requires the planted lost job and duplicated
+# terminate record to be caught. A matcher or runner change that breaks a
+# campaign fails here, not first in a benchmark run.
+python3 perfbench/run.py --self-test
+stage_end
+
 stage_begin "schedule-space exploration"
 # The model checker must exhaust the bounded quickstart schedule space with
 # zero invariant violations, and must catch two seeded mutations with

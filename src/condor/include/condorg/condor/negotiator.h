@@ -22,7 +22,9 @@ namespace condorg::condor {
 
 struct IdleJob {
   std::string job_id;
-  classad::ClassAd ad;
+  /// Shared and immutable, the same handle the Collector hands out for slot
+  /// ads: listing a job for a cycle copies a pointer, never the ad.
+  Collector::AdPtr ad;
 };
 
 /// One job<->slot pairing produced by a cycle.
@@ -36,12 +38,14 @@ struct Match {
 /// the daemon for direct use by brokers and benchmarks.
 ///
 /// This is the optimized path: before running full bilateral matching, each
-/// job's Requirements is analyzed once into a list of `TARGET.Attr <op>
-/// literal` conjuncts, and each slot's referenced attributes are resolved to
-/// literal values once per call. A slot whose literals falsify any conjunct
-/// can never satisfy the conjunction, so it is rejected without touching the
+/// job's Requirements is analyzed into a list of `TARGET.Attr <op> literal`
+/// conjuncts, and each slot's referenced attributes are resolved to literal
+/// values once per call. A slot whose literals falsify any conjunct can
+/// never satisfy the conjunction, so it is rejected without touching the
 /// evaluator; anything not provably rejectable falls through to full
-/// symmetric_match. Results are byte-identical to
+/// symmetric_match. Slots are compiled up front; a job is compiled only
+/// when the greedy loop reaches it, so the jobs left over once every slot
+/// is taken cost nothing. Results are byte-identical to
 /// match_jobs_to_slots_reference (pinned by tests).
 std::vector<Match> match_jobs_to_slots(
     const std::vector<IdleJob>& jobs,
@@ -82,7 +86,9 @@ class Negotiator {
   /// Begin periodic negotiation cycles.
   void start();
 
-  /// Run one cycle immediately (also used by tests).
+  /// Run one cycle immediately (also used by tests). The Collector is read
+  /// first: with no negotiable slot the cycle is counted and ends without
+  /// asking the JobSource for its list.
   std::size_t negotiate_once();
 
   std::uint64_t cycles() const { return *cycles_; }
@@ -100,6 +106,7 @@ class Negotiator {
   // Metric handles resolved once; Counter references stay stable for the
   // registry's lifetime, so the match loop skips the name+label lookup.
   util::Counter& cycles_counter_;
+  util::Counter& no_slot_cycles_counter_;  // cycles that found no slot
   util::Counter& matches_counter_;
   bool started_ = false;
   int boot_id_ = 0;

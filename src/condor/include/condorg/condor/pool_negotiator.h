@@ -2,7 +2,7 @@
 //
 // The personal Negotiator (negotiator.h) re-reads the whole pool every
 // cycle — fine for one user's private Collector, fatal at the portal scale
-// of ROADMAP item 1 (thousands of agents sharing one central pool). This
+// of ROADMAP item 2 (thousands of agents sharing one central pool). This
 // daemon colocates with the central Collector and subscribes to its change
 // sequence instead: each cycle replays only the ads that changed since the
 // last cycle, so the steady-state cost tracks churn, not pool size. Jobs

@@ -1,5 +1,6 @@
 #include "condorg/condor/negotiator.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
@@ -280,33 +281,61 @@ RankPlan analyze_rank(const classad::ExprPtr& rank, NameTable& table,
   return plan;
 }
 
-/// Resolve every interned attribute of every ad once, into a flat
-/// row-per-ad table the per-pair loop can index directly. The `literal`
-/// pointers alias expressions owned by the ads, which outlive the call.
-template <typename LookupAd>
-std::vector<ResolvedAttr> resolve_attrs(const std::vector<LookupAd>& ads,
-                                        const std::vector<std::string>& names) {
-  std::vector<ResolvedAttr> rows(ads.size() * names.size());
-  for (std::size_t a = 0; a < ads.size(); ++a) {
-    ResolvedAttr* row = &rows[a * names.size()];
-    for (std::size_t n = 0; n < names.size(); ++n) {
-      const classad::ExprPtr expr = ads[a]->lookup(names[n]);
-      if (!expr) continue;  // stays kAbsent
-      ResolvedAttr& ra = row[n];
-      ra.literal = expr->literal();
-      if (ra.literal == nullptr) {
-        ra.kind = ResolvedAttr::Kind::kOpaque;
-      } else if (ra.literal->to_number(ra.num)) {
-        ra.kind = ResolvedAttr::Kind::kNumber;
-      } else if (ra.literal->is_string()) {
-        ra.kind = ResolvedAttr::Kind::kString;
-      } else {
-        ra.kind = ResolvedAttr::Kind::kReject;  // UNDEFINED/ERROR literal
-      }
+/// Resolve interned attributes [from, to) of one ad into `row` and
+/// type-classify them. The `literal` pointers alias expressions owned by the
+/// ad, which outlives the matcher call.
+void resolve_row(const classad::ClassAd& ad,
+                 const std::vector<std::string>& names, std::size_t from,
+                 std::size_t to, ResolvedAttr* row) {
+  for (std::size_t n = from; n < to; ++n) {
+    ResolvedAttr& ra = row[n];
+    ra = ResolvedAttr{};
+    const classad::ExprPtr expr = ad.lookup(names[n]);
+    if (!expr) continue;  // stays kAbsent
+    ra.literal = expr->literal();
+    if (ra.literal == nullptr) {
+      ra.kind = ResolvedAttr::Kind::kOpaque;
+    } else if (ra.literal->to_number(ra.num)) {
+      ra.kind = ResolvedAttr::Kind::kNumber;
+    } else if (ra.literal->is_string()) {
+      ra.kind = ResolvedAttr::Kind::kString;
+    } else {
+      ra.kind = ResolvedAttr::Kind::kReject;  // UNDEFINED/ERROR literal
     }
   }
-  return rows;
 }
+
+/// Every slot's resolved attributes, row-major with one column per interned
+/// name, so the per-pair loop indexes a row directly. Jobs compiled late can
+/// intern names no earlier plan mentioned; widen() then re-lays the rows at
+/// the new stride and resolves only the new columns.
+class SlotTable {
+ public:
+  explicit SlotTable(const std::vector<Collector::AdPtr>& slots)
+      : slots_(slots) {}
+
+  void widen(const std::vector<std::string>& names) {
+    const std::size_t width = names.size();
+    if (width == width_) return;
+    std::vector<ResolvedAttr> rows(slots_.size() * width);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      ResolvedAttr* row = &rows[i * width];
+      std::copy_n(rows_.data() + i * width_, width_, row);
+      resolve_row(*slots_[i], names, width_, width, row);
+    }
+    rows_ = std::move(rows);
+    width_ = width;
+  }
+
+  const ResolvedAttr* row(std::size_t slot) const {
+    return width_ == 0 ? nullptr : &rows_[slot * width_];
+  }
+
+ private:
+  const std::vector<Collector::AdPtr>& slots_;
+  std::vector<ResolvedAttr> rows_;
+  std::size_t width_ = 0;
+};
 
 /// Run one side's plan against the counterparty's resolved attributes.
 /// Returns false when the side is provably not TRUE; on true, `decided` is
@@ -334,64 +363,51 @@ bool plan_passes(const Plan& plan, const ResolvedAttr* row, bool& decided) {
 std::vector<Match> match_jobs_to_slots(
     const std::vector<IdleJob>& jobs,
     const std::vector<Collector::AdPtr>& slots) {
-  // Compile both directions once: job Requirements + Rank, slot
-  // Requirements. All attribute names share one interning table, so the
-  // resolved rows below serve every plan.
+  if (jobs.empty() || slots.empty()) return {};
+  // Slot Requirements compile first. All attribute names share one interning
+  // table; the names slot plans intern are the only columns a job row needs,
+  // because job plans index slot rows and slot plans index job rows.
   NameTable table;
   std::vector<std::string> names;
-  std::vector<Plan> job_plans;
-  std::vector<RankPlan> rank_plans;
-  job_plans.reserve(jobs.size());
-  rank_plans.reserve(jobs.size());
-  for (const IdleJob& job : jobs) {
-    job_plans.push_back(
-        analyze_requirements(job.ad.requirements(), job.ad, table, names));
-    rank_plans.push_back(analyze_rank(job.ad.rank(), table, names));
-  }
   std::vector<Plan> slot_plans;
   slot_plans.reserve(slots.size());
   for (const Collector::AdPtr& slot : slots) {
     slot_plans.push_back(
         analyze_requirements(slot->requirements(), *slot, table, names));
   }
-
-  // Resolve every referenced attribute on both sides, once per call.
-  std::vector<ResolvedAttr> slot_attrs;
-  std::vector<ResolvedAttr> job_attrs;
-  if (!names.empty()) {
-    slot_attrs = resolve_attrs(slots, names);
-    std::vector<const classad::ClassAd*> job_ads;
-    job_ads.reserve(jobs.size());
-    for (const IdleJob& job : jobs) job_ads.push_back(&job.ad);
-    job_attrs = resolve_attrs(job_ads, names);
-  }
+  const std::size_t job_width = names.size();
+  std::vector<ResolvedAttr> job_row(job_width);
+  SlotTable slot_attrs(slots);
 
   std::vector<Match> matches;
   std::vector<bool> used(slots.size(), false);
   std::size_t slots_left = slots.size();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (slots_left == 0) break;  // pool exhausted this cycle
-    const IdleJob& job = jobs[j];
-    const Plan& job_plan = job_plans[j];
-    const RankPlan& rank_plan = rank_plans[j];
-    const ResolvedAttr* job_row =
-        names.empty() ? nullptr : &job_attrs[j * names.size()];
+  for (const IdleJob& job : jobs) {
+    if (slots_left == 0) break;  // pool exhausted: later jobs cost nothing
+    // Compile on reach: this job's Requirements + Rank, then its row.
+    const classad::ClassAd& job_ad = *job.ad;
+    const Plan job_plan =
+        analyze_requirements(job_ad.requirements(), job_ad, table, names);
+    const RankPlan rank_plan = analyze_rank(job_ad.rank(), table, names);
+    slot_attrs.widen(names);
+    resolve_row(job_ad, names, 0, job_width, job_row.data());
     std::size_t best = slots.size();
     double best_rank = 0;
     for (std::size_t i = 0; i < slots.size(); ++i) {
       if (used[i]) continue;
-      const ResolvedAttr* slot_row =
-          names.empty() ? nullptr : &slot_attrs[i * names.size()];
+      const ResolvedAttr* slot_row = slot_attrs.row(i);
       // Job side: plan first, evaluator only if the plan couldn't certify.
       bool job_side_decided = false;
       if (!plan_passes(job_plan, slot_row, job_side_decided)) continue;
-      if (!job_side_decided && !classad::half_match(job.ad, *slots[i])) {
+      if (!job_side_decided && !classad::half_match(job_ad, *slots[i])) {
         continue;
       }
       // Slot side, symmetrically.
       bool slot_side_decided = false;
-      if (!plan_passes(slot_plans[i], job_row, slot_side_decided)) continue;
-      if (!slot_side_decided && !classad::half_match(*slots[i], job.ad)) {
+      if (!plan_passes(slot_plans[i], job_row.data(), slot_side_decided)) {
+        continue;
+      }
+      if (!slot_side_decided && !classad::half_match(*slots[i], job_ad)) {
         continue;
       }
       double rank = 0.0;
@@ -406,13 +422,13 @@ std::vector<Match> match_jobs_to_slots(
           if (sa.kind == ResolvedAttr::Kind::kNumber) {
             rank = sa.num;
           } else if (sa.kind == ResolvedAttr::Kind::kOpaque) {
-            rank = classad::eval_rank(job.ad, *slots[i]);
+            rank = classad::eval_rank(job_ad, *slots[i]);
           }
           // kAbsent/kString/kReject: to_number fails → 0.0, like eval_rank
           break;
         }
         case RankPlan::Kind::kFull:
-          rank = classad::eval_rank(job.ad, *slots[i]);
+          rank = classad::eval_rank(job_ad, *slots[i]);
           break;
       }
       if (best == slots.size() || rank > best_rank) {
@@ -453,8 +469,8 @@ std::vector<Match> match_jobs_to_slots_reference(
     double best_rank = 0;
     for (std::size_t i = 0; i < slots.size(); ++i) {
       if (used[i]) continue;
-      if (!classad::symmetric_match(job.ad, *slots[i])) continue;
-      const double rank = classad::eval_rank(job.ad, *slots[i]);
+      if (!classad::symmetric_match(*job.ad, *slots[i])) continue;
+      const double rank = classad::eval_rank(*job.ad, *slots[i]);
       if (best == slots.size() || rank > best_rank) {
         best = i;
         best_rank = rank;
@@ -481,6 +497,8 @@ Negotiator::Negotiator(sim::Host& host, Collector& collector, JobSource jobs,
                            : classad::parse_expr(options_.slot_constraint)),
       cycles_counter_(host_.metrics().counter("negotiator.cycles",
                                               {{"host", host_.name()}})),
+      no_slot_cycles_counter_(host_.metrics().counter(
+          "negotiator.no_slot_cycles", {{"host", host_.name()}})),
       matches_counter_(host_.metrics().counter("negotiator.matches",
                                                {{"host", host_.name()}})),
       cycles_(host, "negotiator.cycles", 0),
@@ -501,6 +519,10 @@ std::size_t Negotiator::negotiate_once() {
   cycles_counter_.inc();
   const std::vector<Collector::AdPtr> slots =
       collector_.query(slot_constraint_);
+  if (slots.empty()) {
+    no_slot_cycles_counter_.inc();
+    return 0;
+  }
   const std::vector<IdleJob> jobs = jobs_();
   const std::vector<Match> matches = match_jobs_to_slots(jobs, slots);
   for (const Match& match : matches) {

@@ -244,8 +244,8 @@ void PoolNegotiator::run_sweep(const std::vector<Match>& delta_matches,
   ++*sweeps_;
 
   // The retained full-requery reference path, timed as one unit: re-read
-  // the pool the way the pre-delta negotiator did, deep-build the job
-  // list, run the full-scan matcher.
+  // the pool the way the pre-delta negotiator did, list the jobs (shared
+  // ads, no copies), run the full-scan matcher.
   const std::uint64_t t0 = clock_ ? clock_() : 0;
   const std::vector<Collector::AdPtr> requeried =
       collector_.query(slot_constraint_);
@@ -253,7 +253,7 @@ void PoolNegotiator::run_sweep(const std::vector<Match>& delta_matches,
   std::vector<IdleJob> reference_jobs;
   reference_jobs.reserve(jobs.size());
   for (const Candidate& job : jobs) {
-    reference_jobs.push_back(IdleJob{*job.name, *job.entry->ad});
+    reference_jobs.push_back(IdleJob{*job.name, job.entry->ad});
   }
   std::vector<Collector::AdPtr> reference_slots;
   reference_slots.reserve(slots.size());
@@ -442,7 +442,7 @@ std::vector<Match> PoolNegotiator::reference_matches() {
   std::vector<IdleJob> reference_jobs;
   reference_jobs.reserve(jobs.size());
   for (const Candidate& job : jobs) {
-    reference_jobs.push_back(IdleJob{*job.name, *job.entry->ad});
+    reference_jobs.push_back(IdleJob{*job.name, job.entry->ad});
   }
   std::vector<Collector::AdPtr> reference_slots;
   reference_slots.reserve(slots.size());

@@ -15,6 +15,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "condorg/core/job.h"
@@ -79,8 +80,10 @@ class Schedd {
   /// allocator. Appending nothing means the queue is sound.
   void audit(std::vector<std::string>& out) const;
 
-  /// Fires after every queue mutation (submit or state change).
-  void add_queue_listener(std::function<void(const Job&)> listener);
+  /// Fires after every queue mutation (submit or state change). Returns an
+  /// id for remove_queue_listener, for listeners that die before the queue.
+  int add_queue_listener(std::function<void(const Job&)> listener);
+  void remove_queue_listener(int id);
 
   /// E-mail hook (also appended to the UserLog mailbox).
   void send_email(const std::string& subject, const std::string& body);
@@ -122,7 +125,8 @@ class Schedd {
   det::HostLocal<std::array<std::array<std::set<std::uint64_t>, 5>, 2>>
       status_sets_;
   // det-local(listeners_): registered by same-host daemons at wiring time.
-  std::vector<std::function<void(const Job&)>> listeners_;
+  std::vector<std::pair<int, std::function<void(const Job&)>>> listeners_;
+  int next_listener_id_ = 0;
   int boot_id_ = 0;
 };
 

@@ -5,17 +5,26 @@
 // slot, activates the job, and reports completion / eviction (with
 // checkpoint) back into the queue. With GlideIn startds in the pool this is
 // exactly Fig. 2 of the paper.
+//
+// A job's ad (broker_job_ad) depends only on what was fixed at submit, so
+// the runner builds it once, the first time the job is listed, and shares
+// that immutable ad with every later cycle and with the job's requeues. The
+// entry goes when the job turns terminal; a submit-host crash drops them
+// all, and the reborn runner rebuilds each from the reloaded queue.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "condorg/condor/collector.h"
 #include "condorg/condor/negotiator.h"
 #include "condorg/condor/shadow.h"
 #include "condorg/core/schedd.h"
+#include "condorg/sim/det.h"
 #include "condorg/sim/network.h"
 
 namespace condorg::core {
@@ -42,9 +51,14 @@ class VanillaRunner {
 
   std::uint64_t shadows_spawned() const { return shadows_spawned_; }
   std::size_t active_shadows() const { return shadows_.size(); }
+  /// Job ads built so far and not yet dropped (no terminal job is ever in
+  /// the cache).
+  std::size_t cached_job_ads() const { return job_ads_->size(); }
+  /// The shared ad cached for job `id`, or null when there is none.
+  condor::Collector::AdPtr cached_job_ad(std::uint64_t id) const;
 
  private:
-  std::vector<condor::IdleJob> idle_jobs() const;
+  std::vector<condor::IdleJob> idle_jobs();
   void on_match(const condor::Match& match);
 
   Schedd& schedd_;
@@ -55,7 +69,11 @@ class VanillaRunner {
   std::map<std::uint64_t, std::unique_ptr<condor::Shadow>> shadows_;
   std::uint64_t claim_counter_ = 0;
   std::uint64_t shadows_spawned_ = 0;
+  det::HostLocal<
+      std::unordered_map<std::uint64_t, condor::Collector::AdPtr>>
+      job_ads_;
   int crash_listener_ = 0;
+  int queue_listener_ = 0;
 };
 
 }  // namespace condorg::core

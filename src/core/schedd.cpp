@@ -71,7 +71,7 @@ void Schedd::persist(const Job& job) {
 
 void Schedd::notify(const Job& job) {
   const auto listeners = listeners_;
-  for (const auto& listener : listeners) listener(job);
+  for (const auto& entry : listeners) entry.second(job);
 }
 
 void Schedd::set_depth_gauge(JobStatus status) {
@@ -363,8 +363,15 @@ void Schedd::audit(std::vector<std::string>& out) const {
   }
 }
 
-void Schedd::add_queue_listener(std::function<void(const Job&)> listener) {
-  listeners_.push_back(std::move(listener));
+int Schedd::add_queue_listener(std::function<void(const Job&)> listener) {
+  const int id = next_listener_id_++;
+  listeners_.emplace_back(id, std::move(listener));
+  return id;
+}
+
+void Schedd::remove_queue_listener(int id) {
+  std::erase_if(listeners_,
+                [id](const auto& entry) { return entry.first == id; });
 }
 
 void Schedd::send_email(const std::string& subject, const std::string& body) {

@@ -1,5 +1,7 @@
 #include "condorg/core/vanilla_runner.h"
 
+#include <memory>
+
 #include "condorg/core/broker.h"
 
 namespace condorg::core {
@@ -10,7 +12,8 @@ VanillaRunner::VanillaRunner(Schedd& schedd, sim::Network& network,
     : schedd_(schedd),
       network_(network),
       host_(schedd.host()),
-      options_(options) {
+      options_(options),
+      job_ads_(host_, "vanilla_runner.job_ads") {
   negotiator_ = std::make_unique<condor::Negotiator>(
       host_, collector, [this] { return idle_jobs(); },
       [this](const condor::Match& match) { on_match(match); },
@@ -27,24 +30,40 @@ VanillaRunner::VanillaRunner(Schedd& schedd, sim::Network& network,
       });
     }
     shadows_.clear();
+    job_ads_->clear();
+  });
+  queue_listener_ = schedd_.add_queue_listener([this](const Job& job) {
+    if (job.status == JobStatus::kCompleted ||
+        job.status == JobStatus::kRemoved) {
+      job_ads_->erase(job.id);
+    }
   });
 }
 
 VanillaRunner::~VanillaRunner() {
+  schedd_.remove_queue_listener(queue_listener_);
   host_.remove_crash_listener(crash_listener_);
 }
 
 void VanillaRunner::start() { negotiator_->start(); }
 
-std::vector<condor::IdleJob> VanillaRunner::idle_jobs() const {
+std::vector<condor::IdleJob> VanillaRunner::idle_jobs() {
   std::vector<condor::IdleJob> out;
   for (const std::uint64_t id : schedd_.idle_jobs(Universe::kVanilla)) {
     if (shadows_.count(id)) continue;  // already being placed
-    const auto job = schedd_.query(id);
-    out.push_back(
-        condor::IdleJob{std::to_string(id), broker_job_ad(*job)});
+    auto [it, inserted] = job_ads_->try_emplace(id);
+    if (inserted) {
+      it->second = std::make_shared<const classad::ClassAd>(
+          broker_job_ad(schedd_.jobs().at(id)));
+    }
+    out.push_back(condor::IdleJob{std::to_string(id), it->second});
   }
   return out;
+}
+
+condor::Collector::AdPtr VanillaRunner::cached_job_ad(std::uint64_t id) const {
+  const auto it = job_ads_->find(id);
+  return it == job_ads_->end() ? nullptr : it->second;
 }
 
 void VanillaRunner::on_match(const condor::Match& match) {

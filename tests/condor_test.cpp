@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "condorg/classad/parser.h"
 #include "condorg/condor/collector.h"
@@ -62,6 +65,10 @@ struct PoolFixture : public ::testing::Test {
   cs::Host& node2;
   cc::Collector collector;
 };
+
+cc::IdleJob idle_job(std::string id, ca::ClassAd ad = {}) {
+  return {std::move(id), std::make_shared<const ca::ClassAd>(std::move(ad))};
+}
 
 }  // namespace
 
@@ -333,9 +340,9 @@ TEST_F(PoolFixture, RemoteIoFlowsToShadow) {
 TEST_F(PoolFixture, MatchJobsToSlotsRespectsRequirementsAndRank) {
   std::vector<cc::IdleJob> jobs;
   jobs.push_back(
-      {"j1", ca::parse_ad("[Requirements = other.Memory >= 1024; Rank = "
-                          "other.Memory]")});
-  jobs.push_back({"j2", ca::parse_ad("[Requirements = true]")});
+      idle_job("j1", ca::parse_ad("[Requirements = other.Memory >= 1024; "
+                                  "Rank = other.Memory]")));
+  jobs.push_back(idle_job("j2", ca::parse_ad("[Requirements = true]")));
   std::vector<ca::ClassAd> slots;
   slots.push_back(ca::parse_ad("[Name = \"small\"; Memory = 512]"));
   slots.push_back(ca::parse_ad("[Name = \"big\"; Memory = 4096]"));
@@ -348,9 +355,8 @@ TEST_F(PoolFixture, MatchJobsToSlotsRespectsRequirementsAndRank) {
 }
 
 TEST_F(PoolFixture, MatchDoesNotReuseSlots) {
-  std::vector<cc::IdleJob> jobs = {{"a", ca::ClassAd{}},
-                                   {"b", ca::ClassAd{}},
-                                   {"c", ca::ClassAd{}}};
+  std::vector<cc::IdleJob> jobs = {idle_job("a"), idle_job("b"),
+                                   idle_job("c")};
   std::vector<ca::ClassAd> slots = {ca::parse_ad("[Name = \"one\"]"),
                                     ca::parse_ad("[Name = \"two\"]")};
   const auto matches = cc::match_jobs_to_slots(jobs, slots);
@@ -363,9 +369,9 @@ TEST_F(PoolFixture, NegotiatorCyclesMatchIdleJobs) {
   cc::Startd s1(node1, world.net(), "s1@node1", slot_options());
   cc::Startd s2(node2, world.net(), "s2@node2", slot_options());
 
-  std::vector<cc::IdleJob> queue = {
-      {"j1", ca::parse_ad("[Requirements = other.Arch == \"X86_64\"]")},
-      {"j2", ca::parse_ad("[Requirements = other.Arch == \"X86_64\"]")}};
+  const char* const wants_x86 = "[Requirements = other.Arch == \"X86_64\"]";
+  std::vector<cc::IdleJob> queue = {idle_job("j1", ca::parse_ad(wants_x86)),
+                                    idle_job("j2", ca::parse_ad(wants_x86))};
   std::vector<cc::Match> matched;
   cc::Negotiator negotiator(
       submit, collector,
@@ -388,13 +394,37 @@ TEST_F(PoolFixture, NegotiatorSkipsClaimedSlots) {
   std::string done;
   auto shadow = run_shadow("running", 1000.0, 0.0, startd.address(), &done);
   world.sim().run_until(70.0);  // job running; fresh ad says "Running"
-  std::vector<cc::IdleJob> queue = {{"idle", ca::ClassAd{}}};
+  int listings = 0;
   std::vector<cc::Match> matched;
   cc::Negotiator negotiator(
-      submit, collector, [&] { return queue; },
+      submit, collector,
+      [&] {
+        ++listings;
+        return std::vector<cc::IdleJob>{idle_job("idle")};
+      },
       [&](const cc::Match& m) { matched.push_back(m); });
-  negotiator.negotiate_once();
+  const auto no_slot_cycles = [&] {
+    return submit.metrics()
+        .counter("negotiator.no_slot_cycles", {{"host", submit.name()}})
+        .value();
+  };
+  EXPECT_EQ(negotiator.negotiate_once(), 0u);
   EXPECT_TRUE(matched.empty());
+  // With every slot claimed the cycle is counted but never lists the queue.
+  EXPECT_EQ(listings, 0);
+  EXPECT_EQ(negotiator.cycles(), 1u);
+  EXPECT_EQ(no_slot_cycles(), 1u);
+
+  // Once the job finishes the slot advertises Unclaimed again, and the next
+  // cycle lists the queue and matches.
+  world.sim().run_until(1300.0);
+  ASSERT_EQ(done, "running");
+  EXPECT_EQ(negotiator.negotiate_once(), 1u);
+  EXPECT_EQ(listings, 1);
+  EXPECT_EQ(negotiator.cycles(), 2u);
+  EXPECT_EQ(no_slot_cycles(), 1u);
+  ASSERT_EQ(matched.size(), 1u);
+  EXPECT_EQ(matched[0].job_id, "idle");
 }
 
 TEST_F(PoolFixture, NegotiatorSlotConstraintIsConfigurable) {
@@ -402,7 +432,7 @@ TEST_F(PoolFixture, NegotiatorSlotConstraintIsConfigurable) {
   std::string done;
   auto shadow = run_shadow("running", 1000.0, 0.0, startd.address(), &done);
   world.sim().run_until(70.0);  // job running; fresh ad says "Running"
-  std::vector<cc::IdleJob> queue = {{"idle", ca::ClassAd{}}};
+  std::vector<cc::IdleJob> queue = {idle_job("idle")};
   std::vector<cc::Match> matched;
   cc::Negotiator::Options options;
   options.slot_constraint = "State == \"Running\"";  // deliberately inverted

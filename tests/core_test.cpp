@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "condorg/classad/parser.h"
+#include "condorg/condor/collector.h"
+#include "condorg/condor/startd.h"
 #include "condorg/core/agent.h"
 #include "condorg/core/broker.h"
+#include "condorg/core/vanilla_runner.h"
 #include "condorg/gsi/myproxy.h"
 #include "condorg/workloads/grid_builder.h"
 
+namespace ca = condorg::classad;
+namespace cc = condorg::condor;
 namespace core = condorg::core;
 namespace cw = condorg::workloads;
 namespace cs = condorg::sim;
@@ -521,6 +530,161 @@ TEST(GlideIn, BinaryRepositoryFetchPrecedesStartd) {
   }
   EXPECT_EQ(agent.query(id)->status, core::JobStatus::kCompleted);
   EXPECT_GE(repo.gets_served(), 1u);  // binaries really were fetched
+}
+
+// ---------- VanillaRunner job-ad cache ----------
+
+namespace {
+
+struct VanillaPoolFixture : public ::testing::Test {
+  VanillaPoolFixture()
+      : submit(world.add_host("submit")),
+        node1(world.add_host("node1")),
+        node2(world.add_host("node2")),
+        schedd(submit),
+        collector(submit, world.net()),
+        runner(schedd, world.net(), collector) {}
+
+  std::unique_ptr<cc::Startd> add_startd(cs::Host& node, int mips,
+                                         double expires_at = 1e18) {
+    cc::StartdOptions options;
+    options.collector = collector.address();
+    options.advertise_period = 60.0;
+    options.checkpoint_interval = 100.0;
+    options.allocation_expires_at = expires_at;
+    options.base_ad = ca::parse_ad("[Arch = \"X86_64\"; Mips = " +
+                                   std::to_string(mips) + "]");
+    return std::make_unique<cc::Startd>(node, world.net(),
+                                        "slot1@" + node.name(), options);
+  }
+
+  std::uint64_t submit_vanilla(double runtime,
+                               const std::string& requirements = "") {
+    core::JobDescription desc;
+    desc.universe = core::Universe::kVanilla;
+    desc.runtime_seconds = runtime;
+    desc.ad.insert_expr("Rank", "other.Mips");
+    if (!requirements.empty()) {
+      desc.ad.insert_expr("Requirements", requirements);
+    }
+    return schedd.submit(desc);
+  }
+
+  bool terminal(std::uint64_t id) const {
+    const auto status = schedd.query(id)->status;
+    return status == core::JobStatus::kCompleted ||
+           status == core::JobStatus::kRemoved;
+  }
+
+  /// Steps the world until every job is terminal, checking after each step
+  /// that no terminal job keeps a cached ad.
+  void run_to_completion(double horizon) {
+    while (!schedd.all_terminal() && world.now() < horizon) {
+      world.sim().run_until(world.now() + 30.0);
+      // lint-allow(schedd-full-scan): the test checks every job
+      for (const auto& [id, job] : schedd.jobs()) {
+        if (terminal(id)) {
+          EXPECT_EQ(runner.cached_job_ad(id), nullptr) << "job " << id;
+        }
+      }
+    }
+  }
+
+  std::size_t count_events(std::uint64_t id, core::LogEventKind kind) const {
+    std::size_t n = 0;
+    for (const auto& event : schedd.log().events_for(id)) {
+      if (event.kind == kind) ++n;
+    }
+    return n;
+  }
+
+  cs::World world;
+  cs::Host& submit;
+  cs::Host& node1;
+  cs::Host& node2;
+  core::Schedd schedd;
+  cc::Collector collector;
+  core::VanillaRunner runner;
+};
+
+}  // namespace
+
+TEST_F(VanillaPoolFixture, TerminalJobsLeaveTheAdCache) {
+  const auto s1 = add_startd(node1, 200);
+  const auto s2 = add_startd(node2, 100);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(submit_vanilla(300.0));
+  const std::uint64_t stuck = submit_vanilla(300.0, "other.Mips > 1000000");
+  runner.start();
+  // The t=0 cycle finds no advertised slot and lists nothing; the t=60
+  // cycle lists (and caches) all four idle jobs.
+  EXPECT_EQ(runner.cached_job_ads(), 0u);
+  world.sim().run_until(70.0);
+  EXPECT_EQ(runner.cached_job_ads(), 4u);
+
+  while (world.now() < 5000.0 && !std::all_of(ids.begin(), ids.end(),
+                                               [&](auto id) {
+                                                 return terminal(id);
+                                               })) {
+    world.sim().run_until(world.now() + 30.0);
+  }
+  for (const auto id : ids) {
+    EXPECT_EQ(schedd.query(id)->status, core::JobStatus::kCompleted);
+    EXPECT_EQ(runner.cached_job_ad(id), nullptr);
+  }
+  ASSERT_NE(runner.cached_job_ad(stuck), nullptr);  // idle, still listed
+  EXPECT_EQ(runner.cached_job_ads(), 1u);
+  ASSERT_TRUE(schedd.remove(stuck));
+  EXPECT_EQ(runner.cached_job_ads(), 0u);  // dropped at the transition
+}
+
+TEST_F(VanillaPoolFixture, EvictedJobMatchesAgainWithTheSameAd) {
+  // The job ranks node1 first; node1's allocation ends mid-run, evicting it
+  // with a checkpoint, and the requeued job must land on node2.
+  const auto s1 = add_startd(node1, 200, /*expires_at=*/400.0);
+  const auto s2 = add_startd(node2, 100);
+  const std::uint64_t id = submit_vanilla(1000.0);
+  runner.start();
+  world.sim().run_until(70.0);
+  const auto ad = runner.cached_job_ad(id);
+  ASSERT_NE(ad, nullptr);
+  EXPECT_EQ(ad->unparse(),
+            core::broker_job_ad(*schedd.query(id)).unparse());
+
+  while (count_events(id, core::LogEventKind::kEvicted) == 0 ||
+         schedd.query(id)->status != core::JobStatus::kRunning) {
+    ASSERT_LT(world.now(), 3000.0);
+    world.sim().run_until(world.now() + 30.0);
+    ASSERT_EQ(runner.cached_job_ad(id), ad);  // never rebuilt
+  }
+  EXPECT_TRUE(s1->exited());
+  EXPECT_EQ(s2->state(), cc::Startd::State::kRunning);
+
+  run_to_completion(5000.0);
+  EXPECT_EQ(schedd.query(id)->status, core::JobStatus::kCompleted);
+  EXPECT_EQ(count_events(id, core::LogEventKind::kTerminated), 1u);
+  EXPECT_EQ(runner.cached_job_ads(), 0u);
+}
+
+TEST_F(VanillaPoolFixture, SubmitHostCrashClearsAdCacheJobsRunOnce) {
+  const auto s1 = add_startd(node1, 200);
+  const auto s2 = add_startd(node2, 100);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(submit_vanilla(300.0));
+  runner.start();
+  world.sim().run_until(130.0);  // two running, the rest idle and cached
+  ASSERT_GT(runner.cached_job_ads(), 0u);
+  submit.crash_for(120.0);
+  EXPECT_EQ(runner.cached_job_ads(), 0u);
+
+  run_to_completion(20000.0);
+  for (const auto id : ids) {
+    EXPECT_EQ(schedd.query(id)->status, core::JobStatus::kCompleted)
+        << "job " << id;
+    EXPECT_EQ(count_events(id, core::LogEventKind::kTerminated), 1u)
+        << "job " << id;
+  }
+  EXPECT_EQ(runner.cached_job_ads(), 0u);
 }
 
 // ---------- DAGMan ----------

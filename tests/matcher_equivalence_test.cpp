@@ -1,5 +1,6 @@
-// Equivalence pinning for the optimized matchmaking hot paths (PR: indexed
-// collector queries, cached ClassAd evaluation, prefiltered matching).
+// Equivalence pinning for the optimized matchmaking hot paths: indexed
+// collector queries, cached ClassAd evaluation, prefiltered matching, and
+// jobs compiled only when the greedy loop reaches them.
 //
 // The optimized match_jobs_to_slots carries a Requirements prefilter that
 // must be *exact*: it may only reject slots that full bilateral evaluation
@@ -94,7 +95,8 @@ ca::ClassAd random_slot_ad(cu::Rng& rng, std::size_t index) {
 std::vector<cc::IdleJob> random_jobs(cu::Rng& rng, std::size_t n) {
   std::vector<cc::IdleJob> jobs;
   for (std::size_t i = 0; i < n; ++i) {
-    jobs.push_back({"job" + std::to_string(i), random_job_ad(rng)});
+    jobs.push_back({"job" + std::to_string(i),
+                    std::make_shared<const ca::ClassAd>(random_job_ad(rng))});
   }
   return jobs;
 }
@@ -144,6 +146,77 @@ TEST(MatcherEquivalence, OptimizedMatchesReferenceOnRandomPopulations) {
     cu::Rng rng(seed);
     const auto jobs = random_jobs(rng, 30 + rng.below(30));
     const auto slots = random_slots(rng, 40 + rng.below(40));
+    expect_identical(cc::match_jobs_to_slots(jobs, slots),
+                     cc::match_jobs_to_slots_reference(jobs, slots), seed);
+  }
+}
+
+// The personal-pool shape: a deep idle queue against the few slots that
+// freed up since the last cycle, so most populations exhaust the pool early
+// and the jobs behind the break are never compiled.
+TEST(MatcherEquivalence, ManyJobsFewSlotsMatchesReference) {
+  for (std::uint64_t seed = 20; seed < 28; ++seed) {
+    cu::Rng rng(seed);
+    const auto jobs = random_jobs(rng, 200 + rng.below(1801));
+    const auto slots = random_slots(rng, rng.below(17));
+    expect_identical(cc::match_jobs_to_slots(jobs, slots),
+                     cc::match_jobs_to_slots_reference(jobs, slots), seed);
+  }
+}
+
+// Jobs reached late in the greedy loop whose Requirements or Rank name a
+// TARGET attribute that no slot plan and no earlier job mentioned: the
+// matcher must widen its slot table for the new column mid-call.
+TEST(MatcherEquivalence, LateInternedAttributesMatchReference) {
+  for (std::uint64_t seed = 40; seed < 46; ++seed) {
+    cu::Rng rng(seed);
+    constexpr std::size_t kJobs = 90;
+    std::vector<cc::Collector::AdPtr> slots;
+    const std::size_t n_slots = 12 + rng.below(12);
+    for (std::size_t i = 0; i < n_slots; ++i) {
+      ca::ClassAd ad = random_slot_ad(rng, i);
+      // Each late attribute is a number, a string, an expression only the
+      // evaluator can decide, undefined, or absent.
+      for (std::size_t k = 0; k < kJobs; ++k) {
+        const std::string name = "Late" + std::to_string(k);
+        switch (rng.below(6)) {
+          case 0: ad.insert_expr(name, "\"tag\""); break;
+          case 1: ad.insert_expr(name, "Mips + 1"); break;
+          case 2: ad.insert_expr(name, "undefined"); break;
+          case 3: break;  // absent
+          default:
+            ad.insert_expr(name, std::to_string(rng.range(0, 4000)));
+            break;
+        }
+      }
+      slots.push_back(std::make_shared<const ca::ClassAd>(std::move(ad)));
+    }
+    std::vector<cc::IdleJob> jobs;
+    for (std::size_t k = 0; k < kJobs; ++k) {
+      ca::ClassAd ad = random_job_ad(rng);
+      // Every third job names its own never-seen attribute, in a spelling
+      // that varies in case so interning must fold it.
+      if (k % 3 == 2) {
+        const std::string late =
+            (rng.below(2) == 0 ? "other.Late" : "TARGET.LATE") +
+            std::to_string(k);
+        switch (rng.below(3)) {
+          case 0:
+            ad.insert_expr("Requirements",
+                           late + " >= " + std::to_string(rng.range(0, 4000)));
+            break;
+          case 1:
+            ad.insert_expr("Requirements", late + " >= ImageSize && " +
+                                               late + " != \"tag\"");
+            break;
+          default:
+            ad.insert_expr("Rank", late);
+            break;
+        }
+      }
+      jobs.push_back({"job" + std::to_string(k),
+                      std::make_shared<const ca::ClassAd>(std::move(ad))});
+    }
     expect_identical(cc::match_jobs_to_slots(jobs, slots),
                      cc::match_jobs_to_slots_reference(jobs, slots), seed);
   }
