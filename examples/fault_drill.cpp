@@ -119,7 +119,7 @@ int main() {
               agent.log().count(core::LogEventKind::kJobManagerLost));
   std::printf("RECONNECTED events:        %zu\n",
               agent.log().count(core::LogEventKind::kReconnected));
-  std::printf("probes sent:               %llu\n",
+  std::printf("site probes sent:          %llu\n",
               static_cast<unsigned long long>(
                   agent.gridmanager().probes_sent()));
   bool ok =

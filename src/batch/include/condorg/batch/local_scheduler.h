@@ -85,6 +85,14 @@ class LocalScheduler {
   /// If the job is already terminal the handler fires immediately. Returns
   /// a token for remove_job_handler.
   std::uint64_t add_job_handler(std::uint64_t id, CompletionHandler handler);
+  /// Invoked once when job `id` starts running, then discarded. If the job
+  /// is already running the handler fires immediately; a job that turns
+  /// terminal without starting (cancelled while queued) drops it unfired,
+  /// as does registering on an already-terminal job. Returns a token for
+  /// remove_job_handler.
+  std::uint64_t add_start_handler(std::uint64_t id, CompletionHandler handler);
+  /// Drops a start or terminal handler; a removed token never fires, even
+  /// when removed by another handler of the same transition. O(log n).
   void remove_job_handler(std::uint64_t token);
 
   const std::string& name() const { return name_; }
@@ -130,7 +138,16 @@ class LocalScheduler {
     std::uint64_t token;
     CompletionHandler handler;
   };
-  std::map<std::uint64_t, std::vector<JobHandler>> job_handlers_;
+  struct JobHandlers {
+    std::vector<JobHandler> on_start;
+    std::vector<JobHandler> on_terminal;
+  };
+  /// Fire `handlers` in order, skipping any token removed meanwhile.
+  void fire(const std::vector<JobHandler>& handlers, const JobRecord& record);
+  /// Registered handlers by job id; an entry exists only while non-empty.
+  std::map<std::uint64_t, JobHandlers> job_handlers_;
+  /// Live handler token -> job id, so removal touches one job's lists.
+  std::map<std::uint64_t, std::uint64_t> handler_job_;
   std::uint64_t next_handler_token_ = 1;
   std::vector<JobRecord> history_;
   std::map<std::string, double> usage_;  // owner -> cpu-seconds

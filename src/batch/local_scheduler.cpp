@@ -63,14 +63,44 @@ std::uint64_t LocalScheduler::add_job_handler(std::uint64_t id,
     handler(it->second);  // already finished: fire immediately
     return token;
   }
-  job_handlers_[id].push_back(JobHandler{token, std::move(handler)});
+  job_handlers_[id].on_terminal.push_back(JobHandler{token, std::move(handler)});
+  handler_job_.emplace(token, id);
+  return token;
+}
+
+std::uint64_t LocalScheduler::add_start_handler(std::uint64_t id,
+                                                CompletionHandler handler) {
+  const std::uint64_t token = next_handler_token_++;
+  const auto it = jobs_.find(id);
+  if (it != jobs_.end() && it->second.state == JobState::kRunning) {
+    handler(it->second);  // already started: fire immediately
+    return token;
+  }
+  if (it != jobs_.end() && is_terminal(it->second.state)) return token;
+  job_handlers_[id].on_start.push_back(JobHandler{token, std::move(handler)});
+  handler_job_.emplace(token, id);
   return token;
 }
 
 void LocalScheduler::remove_job_handler(std::uint64_t token) {
-  for (auto& [id, handlers] : job_handlers_) {
-    std::erase_if(handlers,
-                  [token](const JobHandler& h) { return h.token == token; });
+  const auto owner = handler_job_.find(token);
+  if (owner == handler_job_.end()) return;
+  const auto it = job_handlers_.find(owner->second);
+  handler_job_.erase(owner);
+  if (it == job_handlers_.end()) return;  // transition firing right now
+  const auto match = [token](const JobHandler& h) { return h.token == token; };
+  std::erase_if(it->second.on_start, match);
+  std::erase_if(it->second.on_terminal, match);
+  if (it->second.on_start.empty() && it->second.on_terminal.empty()) {
+    job_handlers_.erase(it);
+  }
+}
+
+void LocalScheduler::fire(const std::vector<JobHandler>& handlers,
+                          const JobRecord& record) {
+  for (const JobHandler& entry : handlers) {
+    if (handler_job_.erase(entry.token) == 0) continue;  // removed meanwhile
+    entry.handler(record);
   }
 }
 
@@ -108,6 +138,13 @@ void LocalScheduler::start_job(std::uint64_t id) {
     finish_job(id,
                killed ? JobState::kWalltimeExceeded : JobState::kCompleted);
   });
+  const auto it = job_handlers_.find(id);
+  if (it == job_handlers_.end() || it->second.on_start.empty()) return;
+  const std::vector<JobHandler> started = std::move(it->second.on_start);
+  it->second.on_start.clear();
+  if (it->second.on_terminal.empty()) job_handlers_.erase(it);
+  const JobRecord snapshot = record;  // a handler may cancel the job
+  fire(started, snapshot);
 }
 
 void LocalScheduler::finish_job(std::uint64_t id, JobState state) {
@@ -134,9 +171,13 @@ void LocalScheduler::finish_job(std::uint64_t id, JobState state) {
   const JobRecord snapshot = record;
   for (const auto& handler : handlers) handler(snapshot);
   if (const auto it = job_handlers_.find(id); it != job_handlers_.end()) {
-    const auto per_job = std::move(it->second);
+    const JobHandlers per_job = std::move(it->second);
     job_handlers_.erase(it);
-    for (const auto& entry : per_job) entry.handler(snapshot);
+    // A job that never started drops its start handlers unfired.
+    for (const JobHandler& entry : per_job.on_start) {
+      handler_job_.erase(entry.token);
+    }
+    fire(per_job.on_terminal, snapshot);
   }
   try_dispatch();
 }

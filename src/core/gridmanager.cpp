@@ -20,7 +20,9 @@ GridManager::GridManager(Schedd& schedd, sim::Network& network,
       gram_(host_, network, user_, options.gram),
       submitting_(host_, "gridmanager.submitting"),
       contact_to_job_(host_, "gridmanager.contact_to_job"),
-      probing_(host_, "gridmanager.probing"),
+      watched_(host_, "gridmanager.watched"),
+      probe_armed_(host_, "gridmanager.probe_armed"),
+      restarting_(host_, "gridmanager.restarting"),
       pending_since_(host_, "gridmanager.pending_since"),
       migrating_(host_, "gridmanager.migrating"),
       degraded_since_(host_, "gridmanager.degraded_since"),
@@ -339,10 +341,7 @@ void GridManager::submit_job(std::uint64_t job_id) {
                          "release: reattaching to " + contact);
     schedd_.with_job(job_id,
                      [](Job& j) { j.status = JobStatus::kRunning; });
-    if (!probing_->count(job_id)) {
-      probing_->insert(job_id);
-      host_.post(1.0, [this, job_id] { probe(job_id); });
-    }
+    watch(job_id, job->gram_site, /*first_probe_in=*/1.0);
     return;
   }
 
@@ -417,11 +416,7 @@ void GridManager::submit_to(std::uint64_t job_id,
         if (host_.crash_point("gridmanager.submit_ack")) return;
         (*contact_to_job_)[*contact] = job_id;
         schedd_.mark_grid_submitted(job_id, seq, gatekeeper.host, *contact);
-        if (!probing_->count(job_id)) {
-          probing_->insert(job_id);
-          host_.post(options_.probe_interval,
-                     [this, job_id] { probe(job_id); });
-        }
+        watch(job_id, gatekeeper.host, options_.probe_interval);
       });
 }
 
@@ -466,14 +461,14 @@ void GridManager::handle_remote_state(std::uint64_t job_id,
     pending_since_->erase(job_id);
     end_pipeline(job_id);
     schedd_.mark_completed(job_id);
-    probing_->erase(job_id);
+    unwatch(job_id, job->gram_site);
     degraded_since_->erase(job_id);  // job left the site; outage moot
     return;
   }
   if (state == "FAILED") {
     pending_since_->erase(job_id);
     end_pipeline(job_id);
-    probing_->erase(job_id);
+    unwatch(job_id, job->gram_site);
     degraded_since_->erase(job_id);
     if (migrating_->erase(job_id)) {
       // This FAILED is our own migration cancel taking effect: re-broker
@@ -496,8 +491,12 @@ void GridManager::handle_remote_state(std::uint64_t job_id,
     }
     return;
   }
-  // PENDING / STAGE_IN / UNSUBMITTED: remember the remote state.
-  schedd_.with_job(job_id, [&state](Job& j) { j.remote_state = state; });
+  // PENDING / STAGE_IN / UNSUBMITTED (or a repeated ACTIVE): remember the
+  // remote state. A probe usually re-reports what the queue already holds;
+  // skip the persist + notify then.
+  if (job->remote_state != state) {
+    schedd_.with_job(job_id, [&state](Job& j) { j.remote_state = state; });
+  }
   if (state == "PENDING") {
     pending_since_->emplace(job_id, host_.now());  // keep first-seen time
     maybe_migrate_pending(job_id);
@@ -540,7 +539,7 @@ void GridManager::maybe_migrate_pending(std::uint64_t job_id) {
         current->status != JobStatus::kRunning) {
       return;  // state moved on while the cancel was in flight
     }
-    probing_->erase(job_id);
+    unwatch(job_id, site);
     contact_to_job_->erase(contact);
     end_pipeline(job_id);
     ++queued_migrations_;
@@ -550,78 +549,131 @@ void GridManager::maybe_migrate_pending(std::uint64_t job_id) {
   });
 }
 
-void GridManager::probe(std::uint64_t job_id) {
-  const auto job = schedd_.query(job_id);
-  if (!job || job->gram_contact.empty() ||
-      job->status == JobStatus::kCompleted ||
-      job->status == JobStatus::kRemoved ||
-      job->status == JobStatus::kHeld) {
-    probing_->erase(job_id);
+void GridManager::watch(std::uint64_t job_id, const std::string& site,
+                        double first_probe_in) {
+  (*watched_)[site].insert(job_id);
+  if (!probe_armed_->insert(site).second) return;  // armed or in flight
+  host_.post(first_probe_in, [this, site] { probe_site(site); });
+}
+
+void GridManager::unwatch(std::uint64_t job_id, const std::string& site) {
+  const auto it = watched_->find(site);
+  if (it != watched_->end()) it->second.erase(job_id);
+}
+
+void GridManager::probe_site(const std::string& site) {
+  // One gram.probe_jobs per site and interval, listing every contact
+  // watched there: the §4.2 ladder's liveness check, batched.
+  std::vector<std::uint64_t> done;     // left the site: stop watching
+  std::vector<std::uint64_t> settled;  // also owe no pipeline slot
+  std::vector<std::string> contacts;
+  for (const std::uint64_t job_id : (*watched_)[site]) {
+    const auto job = schedd_.query(job_id);
+    if (!job || job->status == JobStatus::kCompleted ||
+        job->status == JobStatus::kRemoved ||
+        job->status == JobStatus::kHeld) {
+      settled.push_back(job_id);
+    } else if (job->gram_contact.empty() || job->gram_site != site) {
+      done.push_back(job_id);  // resubmitted; watched again once acked
+    } else if (!restarting_->count(job_id)) {
+      contacts.push_back(job->gram_contact);
+    }
+  }
+  for (const std::uint64_t job_id : done) unwatch(job_id, site);
+  for (const std::uint64_t job_id : settled) {
+    unwatch(job_id, site);
     pending_since_->erase(job_id);  // backstop for lost terminal callbacks
     end_pipeline(job_id);
-    return;
   }
-  const std::string contact = job->gram_contact;
-  ++probes_;
-  count("gridmanager.probes");
-  gram_.ping_jobmanager(contact, [this, job_id, contact](bool jm_ok) {
-    if (jm_ok) {
-      // An open outage ends the moment the JobManager answers again
-      // (F2/F4 reconnect; F1 usually closes via the restart path below).
-      note_recovered(job_id, "jobmanager answered probe");
-      // Backstop status poll: callbacks can be lost on the wire.
-      gram_.status(contact,
-                   [this, job_id](std::optional<gram::GramJobState> state) {
-                     if (state) {
-                       handle_remote_state(job_id,
-                                           gram::to_string(*state), "poll");
-                     }
-                   });
-      host_.post(options_.probe_interval, [this, job_id] { probe(job_id); });
+  if (contacts.empty()) {
+    const auto it = watched_->find(site);
+    if (it == watched_->end() || it->second.empty()) {
+      if (it != watched_->end()) watched_->erase(it);
+      probe_armed_->erase(site);  // nothing left here; watch() re-arms
       return;
     }
-    note_degraded(job_id, "jobmanager silent: " + contact);
-    // JobManager silent: probe the Gatekeeper to classify the failure.
-    gram_.ping_gatekeeper(
-        gram::gatekeeper_address_for(contact),
-        [this, job_id, contact](bool gk_ok) {
-          const auto current = schedd_.query(job_id);
-          if (!current || current->gram_contact != contact) {
-            probing_->erase(job_id);
-            return;
-          }
-          if (gk_ok) {
-            // F1: only the JobManager died. Restart it; the replacement
-            // re-attaches to the local job (or reports it finished).
-            schedd_.log().record(host_.now(), job_id,
-                                 LogEventKind::kJobManagerLost,
-                                 "gatekeeper up; restarting jobmanager");
-            ++jm_restarts_;
-            count("gridmanager.jm_restarts");
-            gram_.restart_jobmanager(
-                contact, [this, job_id](std::optional<gram::GramJobState>) {
-                  note_recovered(job_id, "jobmanager restarted");
-                  schedd_.log().record(host_.now(), job_id,
-                                       LogEventKind::kReconnected, "");
-                  host_.post(options_.probe_interval,
-                             [this, job_id] { probe(job_id); });
-                });
-          } else {
-            // F2 or F4 — indistinguishable from here. Wait and re-probe;
-            // when the site answers again we reconnect (and restart the
-            // JobManager if needed).
-            host_.post(options_.recover_retry,
-                       [this, job_id] { probe(job_id); });
-          }
-        });
-  });
+    // Every job here has a restart in flight: look again next interval.
+    host_.post(options_.probe_interval, [this, site] { probe_site(site); });
+    return;
+  }
+  ++probes_;
+  count("gridmanager.probes");
+  gram_.probe_jobs(sim::Address{site, gram::kGatekeeperService}, contacts,
+                   [this, site](const gram::ProbeResult& result) {
+                     on_probe_result(site, result);
+                   });
+}
+
+void GridManager::on_probe_result(const std::string& site,
+                                  const gram::ProbeResult& result) {
+  using Outcome = gram::ProbeResult::Outcome;
+  if (result.outcome == Outcome::kSilent) {
+    // F2 or F4 — indistinguishable from here. Every job at the site waits
+    // in an open outage; when the site answers again we reconnect (and
+    // restart any JobManager the outage took with it).
+    for (const std::uint64_t job_id : (*watched_)[site]) {
+      if (!restarting_->count(job_id)) {
+        note_degraded(job_id, "site silent: " + site);
+      }
+    }
+    host_.post(options_.recover_retry, [this, site] { probe_site(site); });
+    return;
+  }
+  // An authoritative refusal (say, an expired proxy) comes from a site that
+  // is up: no outage. The credential manager's refresh clears it.
+  if (result.outcome == Outcome::kAnswered) {
+    for (const auto& [contact, state] : result.states) {
+      const auto it = contact_to_job_->find(contact);
+      if (it == contact_to_job_->end()) continue;  // stale contact
+      const std::uint64_t job_id = it->second;
+      const auto job = schedd_.query(job_id);
+      if (!job || job->gram_contact != contact ||
+          restarting_->count(job_id)) {
+        continue;
+      }
+      if (state == gram::kProbeDead) {
+        restart_jobmanager(job_id, contact);
+        continue;
+      }
+      // An open outage ends the moment the JobManager answers again
+      // (F2/F4 reconnect; F1 closes via the restart path).
+      note_recovered(job_id, "jobmanager answered probe");
+      // Backstop for callbacks lost on the wire.
+      handle_remote_state(job_id, state, "poll");
+    }
+  }
+  host_.post(options_.probe_interval, [this, site] { probe_site(site); });
+}
+
+void GridManager::restart_jobmanager(std::uint64_t job_id,
+                                     const std::string& contact) {
+  // F1: the Gatekeeper answered but no JobManager runs the job. Restart
+  // it; the replacement re-attaches to the local job (or reports it
+  // finished).
+  note_degraded(job_id, "jobmanager dead: " + contact);
+  schedd_.log().record(host_.now(), job_id, LogEventKind::kJobManagerLost,
+                       "gatekeeper up; restarting jobmanager");
+  ++jm_restarts_;
+  count("gridmanager.jm_restarts");
+  restarting_->insert(job_id);
+  gram_.restart_jobmanager(
+      contact, [this, job_id](std::optional<gram::GramJobState> state) {
+        restarting_->erase(job_id);
+        // On failure the outage stays open; the next probe retries.
+        if (!state) return;
+        note_recovered(job_id, "jobmanager restarted");
+        schedd_.log().record(host_.now(), job_id, LogEventKind::kReconnected,
+                             "");
+      });
 }
 
 void GridManager::recover_after_boot() {
   // F3 recovery: rebuild in-memory state from the persistent queue.
   submitting_->clear();
   contact_to_job_->clear();
-  probing_->clear();
+  watched_->clear();
+  probe_armed_->clear();
+  restarting_->clear();
   degraded_since_->clear();  // outage windows restart from the reboot
   site_ready_->clear();
   queued_->clear();
@@ -669,8 +721,7 @@ void GridManager::recover_after_boot() {
               });
         }
       });
-      probing_->insert(id);
-      host_.post(options_.probe_interval, [this, job_id] { probe(job_id); });
+      watch(id, job.gram_site, options_.probe_interval);
     } else if (job.gram_seq != 0) {
       // Crash hit between allocating the sequence number and learning the
       // contact: re-drive with the SAME seq; dedup at the gatekeeper makes
@@ -698,11 +749,7 @@ void GridManager::recover_after_boot() {
               (*contact_to_job_)[*contact] = job_id;
               schedd_.mark_grid_submitted(job_id, seq, gatekeeper.host,
                                           *contact);
-              if (!probing_->count(job_id)) {
-                probing_->insert(job_id);
-                host_.post(options_.probe_interval,
-                           [this, job_id] { probe(job_id); });
-              }
+              watch(job_id, gatekeeper.host, options_.probe_interval);
             });
       });
     }
@@ -758,9 +805,19 @@ void GridManager::audit(std::vector<std::string>& out) const {
       out.push_back("in-flight submit for unknown job " + std::to_string(id));
     }
   }
-  for (const std::uint64_t id : *probing_) {
+  for (const auto& [site, jobs] : *watched_) {
+    for (const std::uint64_t id : jobs) {
+      if (!schedd_.query(id)) {
+        out.push_back("site probe watches unknown job " + std::to_string(id));
+      }
+    }
+    if (!jobs.empty() && host_.alive() && probe_armed_->count(site) == 0) {
+      out.push_back("site " + site + " has watched jobs but no probe armed");
+    }
+  }
+  for (const std::uint64_t id : *restarting_) {
     if (!schedd_.query(id)) {
-      out.push_back("probe loop for unknown job " + std::to_string(id));
+      out.push_back("restart in flight for unknown job " + std::to_string(id));
     }
   }
   // Pipeline conservation: the per-site depth counters must equal the

@@ -4,11 +4,14 @@
 // on remote GRAM resources:
 //   * drives exactly-once submission (persisted sequence numbers re-driven
 //     across submit-machine crashes),
-//   * receives JobManager status callbacks and polls as a backstop,
-//   * runs the §4.2 probing ladder: probe the JobManager; on silence probe
-//     the Gatekeeper; if the Gatekeeper answers, restart the JobManager
-//     (F1); otherwise keep waiting — front-end crash and partition are
-//     indistinguishable (F2/F4) — and reconnect when the site returns,
+//   * receives JobManager status callbacks (§3.2), the primary source of
+//     site state,
+//   * runs the §4.2 probing ladder once per site, not per job: every
+//     probe_interval one gram.probe_jobs asks a site's Gatekeeper for the
+//     JobManager state of each watched contact. A state backstops a lost
+//     callback; DEAD means only the JobManager died, so restart it (F1);
+//     silence means front-end crash or partition — indistinguishable
+//     (F2/F4) — so keep waiting and reconnect when the site returns,
 //   * resubmits failed jobs (up to the job's max_attempts, then hold), and
 //   * after a local crash (F3), re-drives every non-terminal job from the
 //     Schedd's persistent queue and re-sends the GASS address to surviving
@@ -41,7 +44,7 @@ using SiteChooser = std::function<void(
 
 struct GridManagerOptions {
   double poll_interval = 60.0;    // queue scan + status poll backstop
-  double probe_interval = 120.0;  // JobManager liveness probe
+  double probe_interval = 120.0;  // per-site liveness probe
   double recover_retry = 120.0;   // site-unreachable retry cadence
   /// Queued-job migration (§4.4: "Monitoring of actual queuing and
   /// execution times allows for ... migrat[ing] queued jobs"): a job stuck
@@ -119,12 +122,17 @@ class GridManager {
   std::uint64_t submissions() const { return submissions_; }
   std::uint64_t resubmissions() const { return resubmissions_; }
   std::uint64_t jobmanager_restarts() const { return jm_restarts_; }
+  /// gram.probe_jobs messages sent (one per site and probe interval, not
+  /// one per watched job).
   std::uint64_t probes_sent() const { return probes_; }
   /// Jobs currently counted against `site`'s pipeline cap.
   std::size_t pipeline_depth(const std::string& site) const;
   /// Jobs under the PENDING-at-site watch (bounded: entries are erased when
   /// the job goes ACTIVE, terminal, or is migrated).
   std::size_t pending_watch_size() const { return pending_since_->size(); }
+  /// Jobs with an open outage window (opened by a silent site, a DEAD
+  /// JobManager, or a submit-machine reboot; closed on reconnect).
+  std::size_t open_outages() const { return degraded_since_->size(); }
 
  private:
   /// A content-addressed staged executable: one GASS store entry per
@@ -162,7 +170,16 @@ class GridManager {
   void submit_to(std::uint64_t job_id, const sim::Address& gatekeeper);
   void dispatch(const sim::Message& message);
   void on_gram_callback(const sim::Message& message);
-  void probe(std::uint64_t job_id);
+  /// Put a job under its site's probe, arming the probe `first_probe_in`
+  /// seconds out unless one is already armed or in flight there.
+  void watch(std::uint64_t job_id, const std::string& site,
+             double first_probe_in);
+  void unwatch(std::uint64_t job_id, const std::string& site);
+  /// The per-site probe timer: one gram.probe_jobs for the site's contacts.
+  void probe_site(const std::string& site);
+  void on_probe_result(const std::string& site,
+                       const gram::ProbeResult& result);
+  void restart_jobmanager(std::uint64_t job_id, const std::string& contact);
   void handle_remote_state(std::uint64_t job_id, const std::string& state,
                            const std::string& why);
   void recover_after_boot();
@@ -172,7 +189,7 @@ class GridManager {
   /// Registry counter scoped to this daemon's user.
   void count(std::string_view name);
   /// Recovery bracketing for the trace: note_degraded opens (at most once
-  /// per outage) when the probe ladder loses the JobManager or the submit
+  /// per outage) when the site probe loses the JobManager or the submit
   /// machine reboots; note_recovered closes it, emits the paired trace
   /// event, and feeds the recovery-latency histogram.
   void note_degraded(std::uint64_t job_id, std::string_view why);
@@ -191,8 +208,12 @@ class GridManager {
   // jobs with an in-flight submit
   det::HostLocal<std::set<std::uint64_t>> submitting_;
   det::HostLocal<std::map<std::string, std::uint64_t>> contact_to_job_;
-  // jobs with an active probe loop
-  det::HostLocal<std::set<std::uint64_t>> probing_;
+  // site -> jobs under that site's probe
+  det::HostLocal<std::map<std::string, std::set<std::uint64_t>>> watched_;
+  // sites whose probe is armed or in flight (at most one each)
+  det::HostLocal<std::set<std::string>> probe_armed_;
+  // jobs with a gram.restart_jobmanager in flight (skipped by probes)
+  det::HostLocal<std::set<std::uint64_t>> restarting_;
   // queued-at-site watch
   det::HostLocal<std::map<std::uint64_t, double>> pending_since_;
   // cancel-for-migration in flight

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -22,6 +23,7 @@
 #include "condorg/core/userlog.h"
 #include "condorg/sim/det.h"
 #include "condorg/sim/host.h"
+#include "condorg/util/metrics.h"
 
 namespace condorg::core {
 
@@ -125,8 +127,20 @@ class Schedd {
   det::HostLocal<std::array<std::array<std::set<std::uint64_t>, 5>, 2>>
       status_sets_;
   // det-local(listeners_): registered by same-host daemons at wiring time.
-  std::vector<std::pair<int, std::function<void(const Job&)>>> listeners_;
+  // A deque, so a listener added during notify moves no entry mid-call.
+  struct Listener {
+    int id = 0;
+    bool live = true;
+    std::function<void(const Job&)> fn;
+  };
+  std::deque<Listener> listeners_;
   int next_listener_id_ = 0;
+  int notify_depth_ = 0;     // nested notify() calls in progress
+  bool tombstones_ = false;  // listeners removed mid-notify, not yet swept
+  // Registry references are stable: each transition counter and depth
+  // gauge is looked up by name once, on first use.
+  std::array<std::array<util::Counter*, 5>, 5> transition_counters_{};
+  std::array<util::Gauge*, 5> depth_gauges_{};
   int boot_id_ = 0;
 };
 

@@ -70,16 +70,31 @@ void Schedd::persist(const Job& job) {
 }
 
 void Schedd::notify(const Job& job) {
-  const auto listeners = listeners_;
-  for (const auto& entry : listeners) entry.second(job);
+  // No copy of the listener list: a listener added meanwhile is first
+  // called on the next mutation (the deque keeps existing entries in
+  // place), and one removed meanwhile is marked dead, never called again,
+  // and erased once the outermost notify returns — never while it may be
+  // the function running.
+  ++notify_depth_;
+  const std::size_t count = listeners_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (listeners_[i].live) listeners_[i].fn(job);
+  }
+  if (--notify_depth_ == 0 && tombstones_) {
+    std::erase_if(listeners_, [](const Listener& l) { return !l.live; });
+    tombstones_ = false;
+  }
 }
 
 void Schedd::set_depth_gauge(JobStatus status) {
-  host_.metrics()
-      .gauge("schedd.queue_depth",
-             {{"host", host_.name()}, {"status", to_string(status)}})
-      .set(host_.now(),
-           static_cast<double>((*status_counts_)[status_index(status)]));
+  util::Gauge*& gauge = depth_gauges_[status_index(status)];
+  if (gauge == nullptr) {
+    gauge = &host_.metrics().gauge(
+        "schedd.queue_depth",
+        {{"host", host_.name()}, {"status", to_string(status)}});
+  }
+  gauge->set(host_.now(),
+             static_cast<double>((*status_counts_)[status_index(status)]));
 }
 
 void Schedd::on_status_change(const Job& job, JobStatus previous,
@@ -101,11 +116,15 @@ void Schedd::on_status_change(const Job& job, JobStatus previous,
   --(*status_counts_)[status_index(previous)];
   ++(*status_counts_)[status_index(job.status)];
   reindex(job, previous, /*is_new=*/false);
-  host_.metrics()
-      .counter("schedd.transitions", {{"host", host_.name()},
-                                      {"from", to_string(previous)},
-                                      {"to", to_string(job.status)}})
-      .inc();
+  util::Counter*& transitions =
+      transition_counters_[status_index(previous)][status_index(job.status)];
+  if (transitions == nullptr) {
+    transitions = &host_.metrics().counter(
+        "schedd.transitions", {{"host", host_.name()},
+                               {"from", to_string(previous)},
+                               {"to", to_string(job.status)}});
+  }
+  transitions->inc();
   set_depth_gauge(previous);
   set_depth_gauge(job.status);
   // Close the root span exactly once: terminal states never transition
@@ -365,13 +384,21 @@ void Schedd::audit(std::vector<std::string>& out) const {
 
 int Schedd::add_queue_listener(std::function<void(const Job&)> listener) {
   const int id = next_listener_id_++;
-  listeners_.emplace_back(id, std::move(listener));
+  listeners_.push_back(Listener{id, true, std::move(listener)});
   return id;
 }
 
 void Schedd::remove_queue_listener(int id) {
-  std::erase_if(listeners_,
-                [id](const auto& entry) { return entry.first == id; });
+  if (notify_depth_ == 0) {
+    std::erase_if(listeners_, [id](const Listener& l) { return l.id == id; });
+    return;
+  }
+  for (Listener& l : listeners_) {
+    if (l.id == id) {
+      l.live = false;  // mid-notify: erased after the outermost notify
+      tombstones_ = true;
+    }
+  }
 }
 
 void Schedd::send_email(const std::string& subject, const std::string& body) {

@@ -165,18 +165,6 @@ void GramClient::drive_commit(const std::string& contact, SubmitCallback done,
             });
 }
 
-void GramClient::status(const std::string& contact, StateCallback done) {
-  rpc_.call(jobmanager_address(contact), "jm.status", base_payload(),
-            options_.rpc_timeout,
-            [done = std::move(done)](bool ok, const sim::Payload& reply) {
-              if (!ok || !reply.get_bool("ok")) {
-                done(std::nullopt);
-                return;
-              }
-              done(gram_state_from_string(reply.get("state")));
-            });
-}
-
 void GramClient::ping_jobmanager(const std::string& contact,
                                  BoolCallback done) {
   rpc_.call(jobmanager_address(contact), "jm.ping", base_payload(),
@@ -186,11 +174,31 @@ void GramClient::ping_jobmanager(const std::string& contact,
             });
 }
 
-void GramClient::ping_gatekeeper(const sim::Address& gatekeeper,
-                                 BoolCallback done) {
-  rpc_.call(gatekeeper, "gram.ping", base_payload(), options_.rpc_timeout,
-            [done = std::move(done)](bool ok, const sim::Payload& reply) {
-              done(ok && reply.get_bool("ok"));
+void GramClient::probe_jobs(const sim::Address& gatekeeper,
+                            const std::vector<std::string>& contacts,
+                            ProbeCallback done) {
+  sim::Payload payload = base_payload();
+  payload.set("contacts", util::join(contacts, " "));
+  rpc_.call(gatekeeper, "gram.probe_jobs", std::move(payload),
+            options_.rpc_timeout,
+            [contacts, done = std::move(done)](bool ok,
+                                               const sim::Payload& reply) {
+              ProbeResult result;
+              if (!ok) {
+                done(result);  // silence: kSilent
+                return;
+              }
+              if (!reply.get_bool("ok")) {
+                result.outcome = ProbeResult::Outcome::kRefused;
+                done(result);
+                return;
+              }
+              result.outcome = ProbeResult::Outcome::kAnswered;
+              for (const std::string& contact : contacts) {
+                std::string state = reply.get(probe_state_key(contact));
+                if (!state.empty()) result.states[contact] = std::move(state);
+              }
+              done(result);
             });
 }
 

@@ -158,7 +158,7 @@ void Gatekeeper::on_message(const sim::Message& message) {
   }
 
   sim::Tracer& tracer = host_.tracer();
-  if (tracer.enabled() && message.type != "gram.ping") {
+  if (tracer.enabled() && message.type != "gram.probe_jobs") {
     // Milestone for the critical-path taxonomy: request authenticated at
     // the gatekeeper (the interval ending here is the submit RTT's request
     // leg; auth itself is synchronous, so the auth phase is honest zeros).
@@ -166,11 +166,8 @@ void Gatekeeper::on_message(const sim::Message& message) {
                  host_.name(), host_.epoch(), message.type);
   }
 
-  if (message.type == "gram.ping") {
-    // The GridManager's probe for distinguishing a dead JobManager (F1)
-    // from a dead front-end / partition (F2/F4).
-    reply.set_bool("ok", true);
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+  if (message.type == "gram.probe_jobs") {
+    handle_probe(message);
     return;
   }
   if (message.type == "gram.submit") {
@@ -239,6 +236,23 @@ void Gatekeeper::handle_submit(const sim::Message& message) {
   reply.set_bool("ok", true);
   reply.set("contact", contact);
   reply.set_uint("seq", seq);  // echoed sequence number
+  sim::rpc_reply(network_, message, address(), std::move(reply));
+}
+
+void Gatekeeper::handle_probe(const sim::Message& message) {
+  // The GridManager's batched liveness probe (§4.2): one request per site
+  // names every contact it watches here. An answer at all rules out F2/F4;
+  // per contact, a live JobManager's state backstops a lost callback and
+  // DEAD marks an F1 victim for gram.restart_jobmanager.
+  sim::Payload reply;
+  reply.set_bool("ok", true);
+  for (const std::string& contact :
+       util::split(message.body.get("contacts"), ' ')) {
+    if (contact.empty()) continue;
+    const JobManager* jm = find_jobmanager(contact);
+    reply.set(probe_state_key(contact),
+              jm != nullptr ? to_string(jm->state()) : kProbeDead);
+  }
   sim::rpc_reply(network_, message, address(), std::move(reply));
 }
 

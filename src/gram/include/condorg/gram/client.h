@@ -12,6 +12,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "condorg/gram/protocol.h"
 #include "condorg/gsi/credential.h"
@@ -74,6 +75,7 @@ class GramClient {
   using BoolCallback = std::function<void(bool ok)>;
   using StateCallback =
       std::function<void(std::optional<GramJobState> state)>;
+  using ProbeCallback = std::function<void(const ProbeResult& result)>;
 
   /// Full submission (allocate seq, two-phase commit, retries). `callback_`
   /// names the client service that will receive "gram.callback" updates.
@@ -85,12 +87,13 @@ class GramClient {
                        const GramJobSpec& spec, const sim::Address& callback,
                        SubmitCallback done);
 
-  /// Poll a JobManager's job state.
-  void status(const std::string& contact, StateCallback done);
   /// Probe the JobManager (alive?).
   void ping_jobmanager(const std::string& contact, BoolCallback done);
-  /// Probe the site's Gatekeeper (alive & reachable?).
-  void ping_gatekeeper(const sim::Address& gatekeeper, BoolCallback done);
+  /// One batched liveness probe of a site: ask its Gatekeeper for the state
+  /// of the JobManager behind each of `contacts` (gram.probe_jobs).
+  void probe_jobs(const sim::Address& gatekeeper,
+                  const std::vector<std::string>& contacts,
+                  ProbeCallback done);
   /// Ask the Gatekeeper to start a replacement JobManager for `contact`.
   void restart_jobmanager(const std::string& contact, StateCallback done);
   /// Cancel the job.

@@ -94,6 +94,7 @@ class Gatekeeper {
   void on_message(const sim::Message& message);
   void handle_submit(const sim::Message& message);
   void handle_restart(const sim::Message& message);
+  void handle_probe(const sim::Message& message);
   std::string new_contact();
   /// Registry counter labelled with this site's name; references are stable
   /// so they are resolved once at construction, off the submit hot path.

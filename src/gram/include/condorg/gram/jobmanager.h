@@ -112,8 +112,13 @@ class JobManager {
   void commit();
   void stage_in();
   void submit_to_scheduler();
+  /// Subscribe to the local job's start (while PENDING) and terminal
+  /// transitions; unwatch_scheduler drops whichever is still registered.
   void watch_scheduler();
+  void unwatch_scheduler();
+  void on_local_start();
   void on_local_terminal(const batch::JobRecord& record);
+  void start_streaming();
   void stage_out_and_finish(GramJobState final_state,
                             const std::string& why);
   /// Real-time stdout streaming while ACTIVE (spec.stream_interval > 0).
@@ -142,6 +147,7 @@ class JobManager {
   sim::Lifetime life_;
   std::string forwarded_credential_;
   std::uint64_t job_handler_token_ = 0;
+  std::uint64_t start_handler_token_ = 0;
   std::unique_ptr<sim::RpcClient> rpc_;
   std::unique_ptr<gass::FileClient> gass_;
   const JobManagerStateCounters* state_counters_ = nullptr;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "condorg/sim/message.h"
@@ -63,6 +64,27 @@ inline constexpr const char* kGatekeeperService = "gram.gatekeeper";
 inline std::string jobmanager_service(const std::string& contact) {
   return "gram.jm." + contact;
 }
+
+/// gram.probe_jobs: the request lists contacts space-separated under
+/// "contacts"; the reply carries one field per contact, under
+/// probe_state_key(contact), holding its JobManager's state or kProbeDead
+/// when no live JobManager runs it (F1: restart it).
+inline constexpr const char* kProbeDead = "DEAD";
+inline std::string probe_state_key(const std::string& contact) {
+  return "jm." + contact;
+}
+
+/// Outcome of one gram.probe_jobs round trip, as the client sees it.
+struct ProbeResult {
+  enum class Outcome {
+    kAnswered,  // the Gatekeeper replied; `states` holds its view
+    kRefused,   // it answered but refused us (GSI/gridmap failure)
+    kSilent,    // no reply: front-end down or partitioned (F2/F4)
+  };
+  Outcome outcome = Outcome::kSilent;
+  /// contact -> JobManager state name, or kProbeDead (kAnswered only).
+  std::map<std::string, std::string> states;
+};
 
 /// The GridManager tags grid submissions "job<id>" (spec_for); other
 /// clients use free-form tags. Returns 0 when the tag names no job, which

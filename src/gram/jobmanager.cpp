@@ -6,7 +6,6 @@
 
 namespace condorg::gram {
 namespace {
-constexpr double kLocalPollInterval = 15.0;   // watch PENDING->ACTIVE
 constexpr double kStageTimeout = 600.0;
 constexpr double kStageRetryDelay = 60.0;
 constexpr int kStageRetries = 30;
@@ -104,12 +103,7 @@ JobManager::JobManager(sim::Host& host, sim::Network& network,
                     : GramJobState::kPending,
                 "reattach");
       watch_scheduler();
-      if (state_ == GramJobState::kActive && spec_.stream_interval > 0 &&
-          !streaming_) {
-        streaming_ = true;
-        host_.post(spec_.stream_interval,
-                   life_.wrap([this] { stream_output_tick(); }));
-      }
+      if (state_ == GramJobState::kActive) start_streaming();
     }
   } else if (committed_) {
     // Crashed between commit and local submission: redo staging.
@@ -121,7 +115,7 @@ JobManager::JobManager(sim::Host& host, sim::Network& network,
 JobManager::~JobManager() {
   life_.revoke();
   host_.remove_crash_listener(crash_listener_);
-  if (job_handler_token_) scheduler_.remove_job_handler(job_handler_token_);
+  unwatch_scheduler();
   if (host_.alive() && process_alive_) {
     host_.unregister_service(jobmanager_service(contact_));
   }
@@ -140,10 +134,7 @@ void JobManager::kill_process() {
   host_.tracer().end_span(stage_in_span_, "crashed");
   host_.tracer().end_span(stage_out_span_, "crashed");
   life_.revoke();
-  if (job_handler_token_) {
-    scheduler_.remove_job_handler(job_handler_token_);
-    job_handler_token_ = 0;
-  }
+  unwatch_scheduler();
   host_.unregister_service(jobmanager_service(contact_));
   // The RpcClients' pending callbacks die with the process: drop them by
   // resetting (their destructors unregister reply services).
@@ -233,7 +224,7 @@ void JobManager::on_message(const sim::Message& message) {
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
-  if (message.type == "jm.status" || message.type == "jm.ping") {
+  if (message.type == "jm.ping") {
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
@@ -364,7 +355,8 @@ void JobManager::submit_to_scheduler() {
 }
 
 void JobManager::watch_scheduler() {
-  // Terminal transitions arrive via a one-shot handler...
+  // Both local transitions arrive via one-shot handlers: the start handler
+  // reports ACTIVE (§3.2's callback), the terminal handler stages out.
   job_handler_token_ = scheduler_.add_job_handler(
       local_job_id_,
       [this, epoch = host_.epoch()](const batch::JobRecord& record) {
@@ -372,27 +364,35 @@ void JobManager::watch_scheduler() {
         job_handler_token_ = 0;  // consumed
         on_local_terminal(record);
       });
-  // ...while PENDING->ACTIVE is observed by polling the local scheduler.
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, weak = std::weak_ptr<std::function<void()>>(poll)] {
-    if (!process_alive_ || is_terminal(state_)) return;
-    const auto self = weak.lock();
-    if (!self) return;
-    const auto status = scheduler_.status(local_job_id_);
-    if (status && status->state == batch::JobState::kRunning &&
-        state_ == GramJobState::kPending) {
-      set_state(GramJobState::kActive, "running");
-      if (spec_.stream_interval > 0 && !streaming_) {
-        streaming_ = true;
-        host_.post(spec_.stream_interval,
-                   life_.wrap([this] { stream_output_tick(); }));
-      }
-    }
-    if (status && !batch::is_terminal(status->state)) {
-      host_.post(kLocalPollInterval, life_.wrap([self] { (*self)(); }));
-    }
-  };
-  host_.post(kLocalPollInterval, life_.wrap([poll] { (*poll)(); }));
+  if (state_ != GramJobState::kPending) return;
+  start_handler_token_ = scheduler_.add_start_handler(
+      local_job_id_, [this, epoch = host_.epoch()](const batch::JobRecord&) {
+        if (!process_alive_ || host_.epoch() != epoch) return;
+        start_handler_token_ = 0;  // consumed
+        on_local_start();
+      });
+}
+
+void JobManager::unwatch_scheduler() {
+  if (job_handler_token_) scheduler_.remove_job_handler(job_handler_token_);
+  if (start_handler_token_) {
+    scheduler_.remove_job_handler(start_handler_token_);
+  }
+  job_handler_token_ = 0;
+  start_handler_token_ = 0;
+}
+
+void JobManager::on_local_start() {
+  if (state_ != GramJobState::kPending) return;
+  set_state(GramJobState::kActive, "running");
+  start_streaming();
+}
+
+void JobManager::start_streaming() {
+  if (spec_.stream_interval <= 0 || streaming_) return;
+  streaming_ = true;
+  host_.post(spec_.stream_interval,
+             life_.wrap([this] { stream_output_tick(); }));
 }
 
 void JobManager::on_local_terminal(const batch::JobRecord& record) {
@@ -498,11 +498,7 @@ void JobManager::restream_output() {
                   0, [](bool) {}, kStageTimeout,
                   /*writer=*/contact_, seq);
   }
-  if (state_ == GramJobState::kActive && !streaming_) {
-    streaming_ = true;
-    host_.post(spec_.stream_interval,
-               life_.wrap([this] { stream_output_tick(); }));
-  }
+  if (state_ == GramJobState::kActive) start_streaming();
 }
 
 void JobManager::set_state(GramJobState state, const std::string& why) {
@@ -523,6 +519,10 @@ void JobManager::set_state(GramJobState state, const std::string& why) {
                  std::string(to_string(state)) +
                      (why.empty() ? "" : ": " + why));
   }
+  // Crash point: the new state is persisted but its callback never leaves
+  // — the GridManager's per-site probe must notice the change (a restarted
+  // JobManager re-reports from the record).
+  if (host_.crash_point("jobmanager.callback_send")) return;
   send_callback(why);
 }
 

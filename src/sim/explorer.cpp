@@ -27,6 +27,7 @@ constexpr const char* kEnumeratedCrashPoints[] = {
     "gram.client.contact_persist",
     "gram.client.submit_send",
     "gridmanager.submit_ack",
+    "jobmanager.callback_send",
     "jobmanager.cancel_recv",
     "jobmanager.commit_recv",
     "jobmanager.refresh_recv",
@@ -181,6 +182,7 @@ bool ScheduleOracle::inject_crash(const std::string& host, const char* point,
       state_hash(util::fnv1a_mix(util::fnv1a(host), util::fnv1a(point)))});
   if (crash) {
     ++crashes_injected_;
+    crashed_points_.insert(point);
     *downtime = config_.crash_downtime;
   }
   return crash;
@@ -206,6 +208,7 @@ Explorer::RunRecord Explorer::run_one(
         point + "\" that is missing from kEnumeratedCrashPoints");
   }
   run.record = oracle.record();
+  run.crashed_points = oracle.crashed_points();
   return run;
 }
 
@@ -220,6 +223,8 @@ Explorer::Result Explorer::explore() {
   auto note_run = [&](const RunRecord& run) {
     ++result.runs;
     digests.insert(run.outcome.trace_digest);
+    result.crashed_points.insert(run.crashed_points.begin(),
+                                 run.crashed_points.end());
     if (run.outcome.violations.empty()) return false;
     result.violation_found = true;
     result.violations = run.outcome.violations;

@@ -11,7 +11,11 @@
 //                     this model, so honestly ~0 — kept as its own bucket)
 //   jobmanager-spawn  JobManager creation + local scheduler submission
 //   stage-in          executable transfer from the client's GASS server
-//   poll-wait         local queue wait + the JobManager's poll quantum
+//   poll-wait         local queue wait: PENDING until the site's scheduler
+//                     starts the job. The JobManager reports ACTIVE from
+//                     the scheduler's start event, so no poll quantum is
+//                     left in it; the name stays because reports and
+//                     perfbench read it as cp.poll_wait_p99_s
 //   recovery          declared recovery windows (recovery.begin → .end) and
 //                     resubmission ladders; applied as an overlay — outage
 //                     time is carved out of whichever interval covers it,

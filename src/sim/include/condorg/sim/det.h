@@ -4,10 +4,11 @@
 // agent (Schedd, GridManager, CredentialManager, personal Collector/
 // Negotiator) lives on the submit host, each site's Gatekeeper/JobManager/
 // StagingCache on the site front-end, and they interact only through
-// sim::Network messages. ROADMAP item 2 (sharding the calendar-queue
-// kernel into conservatively-synchronized islands) depends on that
-// property actually holding in the code: one direct cross-host method
-// call on daemon state would break digest-identical island parallelism.
+// sim::Network messages. The island kernel (the calendar queue sharded
+// into conservatively-synchronized islands; ROADMAP item 1 covers its
+// future) depends on that property actually holding in the code: one
+// direct cross-host method call on daemon state would break
+// digest-identical island parallelism.
 //
 // DetSan verifies the property at runtime. The kernel stamps the host of
 // the currently-dispatching event into a thread-local (ScopedHost, set by

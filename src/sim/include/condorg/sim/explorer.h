@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,10 @@ class ScheduleOracle : public ScheduleController {
   const std::vector<std::string>& unknown_points() const {
     return unknown_points_;
   }
+  /// Crash points this run actually crashed at.
+  const std::set<std::string>& crashed_points() const {
+    return crashed_points_;
+  }
 
   // ScheduleController:
   std::size_t pick_event(Time when, std::size_t count) override;
@@ -119,6 +124,7 @@ class ScheduleOracle : public ScheduleController {
   std::function<std::uint64_t()> probe_;
   std::optional<util::Rng> random_;
   std::vector<std::string> unknown_points_;
+  std::set<std::string> crashed_points_;
   std::size_t cursor_ = 0;
   std::size_t crashes_injected_ = 0;
 };
@@ -147,6 +153,9 @@ class Explorer {
     bool violation_found = false;
     ScheduleTrace counterexample;         // meaningful iff violation_found
     std::vector<std::string> violations;  // from the violating run
+    /// Crash points at which at least one run injected a crash: the fault
+    /// coverage the exploration actually achieved.
+    std::set<std::string> crashed_points;
   };
 
   Explorer(std::string scenario_name, Scenario scenario, Config config);
@@ -162,6 +171,7 @@ class Explorer {
   struct RunRecord {
     RunOutcome outcome;
     std::vector<ExploreChoice> record;
+    std::set<std::string> crashed_points;
   };
   RunRecord run_one(const std::vector<ExploreChoice>& forced,
                     const util::Rng* random_tail) const;

@@ -24,9 +24,10 @@ namespace gsi = condorg::gsi;
 namespace {
 
 /// Two-site grid + one agent with a StandardAuditor attached to everything,
-/// auditing every 32 dispatched events.
+/// auditing every `period` dispatched events (32 by default).
 struct AuditedCampaign {
-  explicit AuditedCampaign(std::uint64_t seed) : testbed(seed) {
+  explicit AuditedCampaign(std::uint64_t seed, std::uint64_t period = 32)
+      : testbed(seed) {
     cw::SiteSpec pbs;
     pbs.name = "pbs.anl.gov";
     pbs.kind = cw::SiteKind::kPbs;
@@ -43,7 +44,7 @@ struct AuditedCampaign {
     agent->set_site_chooser(core::make_static_chooser(testbed.gatekeepers()));
     agent->start();
     auditor = std::make_unique<core::StandardAuditor>(testbed.world().sim(),
-                                                      /*period=*/32);
+                                                      period);
     auditor->attach_agent(*agent);
     for (const auto& site : testbed.sites()) {
       auditor->attach_gatekeeper(*site->gatekeeper);
@@ -160,7 +161,9 @@ TEST(StandardAuditor, FiresOnCorruptedHoldReason) {
 }
 
 TEST(StandardAuditor, FiresOnNonMonotonicSequenceNumber) {
-  AuditedCampaign rig(5);
+  // Event-driven site state leaves a single running job few events per
+  // 300 s window, so audit every event rather than every 32nd.
+  AuditedCampaign rig(5, /*period=*/1);
   const auto id = rig.agent->submit(rig.grid_job(3600.0));
   auto& world = rig.testbed.world();
   while (rig.agent->query(id)->gram_seq == 0 && world.now() < 3600.0) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "condorg/batch/background_load.h"
 #include "condorg/batch/fair_share_scheduler.h"
 #include "condorg/batch/fifo_scheduler.h"
@@ -93,6 +96,76 @@ TEST(LocalScheduler, CompletionHandlersFire) {
   EXPECT_EQ(states[0], cb::JobState::kCancelled);
   EXPECT_EQ(states[1], cb::JobState::kCompleted);
   EXPECT_EQ(pbs.history().size(), 2u);
+}
+
+TEST(LocalScheduler, StartHandlerFiresOnceAtStart) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 1, false);
+  pbs.submit(job("a", 100.0));
+  const auto queued = pbs.submit(job("b", 50.0));
+  std::vector<double> fired;
+  pbs.add_start_handler(queued, [&](const cb::JobRecord& r) {
+    EXPECT_EQ(r.state, cb::JobState::kRunning);
+    fired.push_back(sim.now());
+  });
+  sim.run();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_DOUBLE_EQ(fired[0], 100.0);  // when a's CPU freed, not later
+}
+
+TEST(LocalScheduler, StartHandlerFiresImmediatelyForRunningJob) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 1, false);
+  const auto running = pbs.submit(job("a", 100.0));
+  int fired = 0;
+  pbs.add_start_handler(running, [&](const cb::JobRecord&) { ++fired; });
+  EXPECT_EQ(fired, 1);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(LocalScheduler, StartHandlerNeverFiresForCancelledQueuedJob) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 1, false);
+  pbs.submit(job("a", 100.0));
+  const auto queued = pbs.submit(job("b", 50.0));
+  int started = 0;
+  int terminal = 0;
+  pbs.add_start_handler(queued, [&](const cb::JobRecord&) { ++started; });
+  pbs.add_job_handler(queued, [&](const cb::JobRecord&) { ++terminal; });
+  EXPECT_TRUE(pbs.cancel(queued));
+  sim.run();
+  EXPECT_EQ(started, 0);
+  EXPECT_EQ(terminal, 1);
+  // Registering on an already-terminal job never fires either.
+  pbs.add_start_handler(queued, [&](const cb::JobRecord&) { ++started; });
+  EXPECT_EQ(started, 0);
+}
+
+TEST(LocalScheduler, RemovedHandlerTokenNeverFires) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 1, false);
+  pbs.submit(job("a", 100.0));
+  const auto queued = pbs.submit(job("b", 50.0));
+  int fired = 0;
+  const auto start = pbs.add_start_handler(
+      queued, [&](const cb::JobRecord&) { ++fired; });
+  const auto done =
+      pbs.add_job_handler(queued, [&](const cb::JobRecord&) { ++fired; });
+  pbs.remove_job_handler(start);
+  pbs.remove_job_handler(done);
+  pbs.remove_job_handler(done);  // removing twice is harmless
+  // A handler removed by an earlier handler of the same transition is
+  // skipped too.
+  std::uint64_t later = 0;
+  pbs.add_start_handler(queued, [&](const cb::JobRecord&) {
+    pbs.remove_job_handler(later);
+  });
+  later = pbs.add_start_handler(queued,
+                                [&](const cb::JobRecord&) { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(pbs.status(queued)->state, cb::JobState::kCompleted);
 }
 
 TEST(LocalScheduler, UnknownIdStatus) {

@@ -126,6 +126,39 @@ TEST(Schedd, HoldReleaseRemoveLifecycle) {
   EXPECT_TRUE(schedd.all_terminal());
 }
 
+TEST(Schedd, ListenersMayRegisterAndRemoveDuringNotify) {
+  cs::World world;
+  core::Schedd schedd(world.add_host("submit"));
+  int first = 0;
+  int second = 0;
+  int late = 0;
+  int second_id = 0;
+  int self_id = 0;
+  schedd.add_queue_listener([&](const core::Job&) {
+    if (++first != 1) return;
+    // Mid-notify: the removed listener is skipped even in this pass, the
+    // added one first hears the next mutation.
+    schedd.remove_queue_listener(second_id);
+    schedd.add_queue_listener([&](const core::Job&) { ++late; });
+  });
+  second_id = schedd.add_queue_listener([&](const core::Job&) { ++second; });
+  int self_calls = 0;
+  self_id = schedd.add_queue_listener([&](const core::Job&) {
+    ++self_calls;
+    schedd.remove_queue_listener(self_id);  // one-shot
+  });
+  schedd.submit({});
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(late, 0);
+  EXPECT_EQ(self_calls, 1);
+  schedd.submit({});
+  EXPECT_EQ(first, 2);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(late, 1);
+  EXPECT_EQ(self_calls, 1);
+}
+
 TEST(Schedd, CompletionSendsEmail) {
   cs::World world;
   core::Schedd schedd(world.add_host("submit"));
@@ -255,6 +288,155 @@ TEST_F(AgentFixture, DeadSiteJobResubmittedElsewhere) {
   EXPECT_EQ(agent->query(id)->status, core::JobStatus::kCompleted);
   EXPECT_EQ(agent->query(id)->gram_site, "lsf.ncsa.edu");
   EXPECT_GE(agent->gridmanager().resubmissions(), 0u);
+}
+
+// ---------- the per-site probe (event-driven site state) ----------
+
+namespace {
+
+std::size_t recovery_windows_closed(core::CondorGAgent& agent) {
+  return agent.host()
+      .metrics()
+      .histogram("gridmanager.recovery_seconds", {{"user", "user"}})
+      .count();
+}
+
+}  // namespace
+
+TEST_F(AgentFixture, LostCallbacksCompleteThroughSiteProbe) {
+  // Every gram.callback to the GridManager is lost on the wire: the site
+  // probe alone must carry each job to completion, exactly once.
+  std::size_t dropped = 0;
+  agent->host().unregister_service("gridmanager.user");
+  agent->host().register_service("gridmanager.user",
+                                 [&dropped](const cs::Message& m) {
+                                   if (m.type == "gram.callback") ++dropped;
+                                 });
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(agent->submit(grid_job(600.0)));
+  run_to_completion(40000.0);
+  for (const auto id : ids) {
+    EXPECT_EQ(agent->query(id)->status, core::JobStatus::kCompleted)
+        << "job " << id;
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(total_site_executions(), 6u);
+  EXPECT_EQ(agent->log().count(core::LogEventKind::kTerminated), 6u);
+  EXPECT_GE(agent->gridmanager().probes_sent(), 1u);
+}
+
+TEST_F(AgentFixture, SiteProbeRestartsDeadJobManager) {
+  core::JobDescription desc = grid_job(3000.0);
+  desc.grid_site = "pbs.anl.gov";
+  const auto victim = agent->submit(desc);
+  const auto bystander = agent->submit(desc);
+  testbed.world().sim().run_until(1500.0);
+  ASSERT_EQ(agent->query(victim)->remote_state, "ACTIVE");
+  const std::string contact = agent->query(victim)->gram_contact;
+  ASSERT_TRUE(testbed.site(0).gatekeeper->kill_jobmanager(contact));
+  // The next site probe finds the JobManager DEAD behind a live gatekeeper
+  // (F1) and restarts it; the bystander's JobManager is left alone.
+  testbed.world().sim().run_until(1500.0 + 2 * 120.0 + 60.0);
+  EXPECT_EQ(agent->gridmanager().jobmanager_restarts(), 1u);
+  EXPECT_EQ(agent->log().count(core::LogEventKind::kJobManagerLost), 1u);
+  EXPECT_NE(testbed.site(0).gatekeeper->find_jobmanager(contact), nullptr);
+  EXPECT_EQ(agent->gridmanager().open_outages(), 0u);
+  EXPECT_EQ(recovery_windows_closed(*agent), 1u);
+  run_to_completion(40000.0);
+  EXPECT_EQ(agent->query(victim)->status, core::JobStatus::kCompleted);
+  EXPECT_EQ(agent->query(bystander)->status, core::JobStatus::kCompleted);
+  EXPECT_EQ(total_site_executions(), 2u);  // the victim ran exactly once
+}
+
+TEST_F(AgentFixture, SilentSiteOpensOneOutagePerJobAndReconnects) {
+  core::JobDescription desc = grid_job(3000.0);
+  desc.grid_site = "pbs.anl.gov";
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(agent->submit(desc));
+  testbed.world().sim().run_until(1500.0);
+  testbed.world().net().set_partitioned("submit.wisc.edu", "pbs.anl.gov",
+                                        true);
+  // Several probe rounds go unanswered (F2/F4): each job opens exactly one
+  // outage window, however many probes the silence swallows.
+  testbed.world().sim().run_until(2500.0);
+  EXPECT_EQ(agent->gridmanager().open_outages(), 3u);
+  testbed.world().net().set_partitioned("submit.wisc.edu", "pbs.anl.gov",
+                                        false);
+  run_to_completion(40000.0);
+  for (const auto id : ids) {
+    EXPECT_EQ(agent->query(id)->status, core::JobStatus::kCompleted)
+        << "job " << id;
+  }
+  EXPECT_EQ(agent->gridmanager().open_outages(), 0u);
+  EXPECT_EQ(recovery_windows_closed(*agent), 3u);
+  EXPECT_EQ(agent->gridmanager().jobmanager_restarts(), 0u);
+  EXPECT_EQ(total_site_executions(), 3u);
+}
+
+TEST(SiteProbe, RefusedProbeOpensNoOutage) {
+  gsi::Pki pki((condorg::util::Rng(5)));
+  gsi::CertificateAuthority ca(pki, "/CN=CA");
+  const gsi::Credential user =
+      ca.issue(pki, "/O=UW/CN=jfrey", 0.0, 30 * 86400.0);
+  const gsi::Credential outsider =
+      ca.issue(pki, "/O=X/CN=eve", 0.0, 30 * 86400.0);
+  cw::GridTestbed testbed(11);
+  cw::SiteSpec spec;
+  spec.name = "pbs.anl.gov";
+  spec.cpus = 8;
+  spec.gatekeeper.auth.pki = &pki;
+  spec.gatekeeper.auth.anchors[ca.name()] = ca.public_key();
+  spec.gatekeeper.auth.gridmap.add("/O=UW/CN=jfrey", "jfrey");
+  spec.gatekeeper.auth.require_auth = true;
+  testbed.add_site(spec);
+  testbed.add_submit_host("submit.wisc.edu");
+  core::CondorGAgent agent(testbed.world(), "submit.wisc.edu");
+  agent.set_site_chooser(core::make_static_chooser(testbed.gatekeepers()));
+  agent.start();
+  agent.credentials().set_credential(user.delegate(pki, 0.0, 7 * 86400.0));
+  core::JobDescription desc;
+  desc.universe = core::Universe::kGrid;
+  desc.runtime_seconds = 3000.0;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 2; ++i) ids.push_back(agent.submit(desc));
+  testbed.world().sim().run_until(600.0);
+  ASSERT_EQ(agent.query(ids[0])->remote_state, "ACTIVE");
+  // The site stays up but stops accepting our identity: its probes are
+  // refused, which is an answer, not silence.
+  const std::uint64_t refused_before =
+      testbed.site(0).gatekeeper->auth_failures();
+  agent.gridmanager().set_credential_text(
+      outsider.delegate(pki, 0.0, 7 * 86400.0).serialize());
+  testbed.world().sim().run_until(1200.0);
+  EXPECT_GE(testbed.site(0).gatekeeper->auth_failures(), refused_before + 3);
+  EXPECT_EQ(agent.gridmanager().open_outages(), 0u);
+  EXPECT_EQ(agent.gridmanager().jobmanager_restarts(), 0u);
+  // Callbacks need no GSI: the jobs still finish, once each.
+  while (!agent.schedd().all_terminal() && testbed.world().now() < 20000.0) {
+    testbed.world().sim().run_until(testbed.world().now() + 100.0);
+  }
+  for (const auto id : ids) {
+    EXPECT_EQ(agent.query(id)->status, core::JobStatus::kCompleted);
+  }
+  EXPECT_EQ(testbed.site(0).scheduler->history().size(), 2u);
+  EXPECT_EQ(recovery_windows_closed(agent), 0u);
+}
+
+TEST_F(AgentFixture, ProbeCountScalesWithSitesNotJobs) {
+  // 16 concurrent 3000 s jobs over two sites: one probe per site and
+  // interval, where a per-job ladder would send one per job and interval.
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 16; ++i) ids.push_back(agent->submit(grid_job(3000.0)));
+  run_to_completion(40000.0);
+  for (const auto id : ids) {
+    ASSERT_EQ(agent->query(id)->status, core::JobStatus::kCompleted);
+  }
+  const double span = testbed.world().now();
+  const double interval = 120.0;  // GridManagerOptions::probe_interval
+  const auto per_site_rounds = static_cast<std::uint64_t>(span / interval);
+  EXPECT_LE(agent->gridmanager().probes_sent(), 2 * (per_site_rounds + 2));
+  EXPECT_GE(agent->gridmanager().probes_sent(), 2 * (3000 / 120 - 1));
+  EXPECT_EQ(total_site_executions(), 16u);
 }
 
 TEST_F(AgentFixture, RepeatedRemoteFailureEndsInHold) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "condorg/batch/fifo_scheduler.h"
@@ -97,11 +98,44 @@ TEST_F(GramFixture, SubmitRunsJobToCompletion) {
 TEST_F(GramFixture, StatusPollReflectsProgress) {
   const std::string contact = submit_and_await("ACTIVE");
   ASSERT_FALSE(contact.empty());
-  std::optional<gram::GramJobState> state;
-  client.status(contact, [&](std::optional<gram::GramJobState> s) { state = s; });
+  // The site probe reports each listed contact's JobManager state; a
+  // contact the site never issued reads as DEAD.
+  gram::ProbeResult result;
+  client.probe_jobs(gatekeeper->address(), {contact, "gk.anl.gov:999"},
+                    [&](const gram::ProbeResult& r) { result = r; });
   world.sim().run_until(world.now() + 20.0);
-  ASSERT_TRUE(state.has_value());
-  EXPECT_EQ(*state, gram::GramJobState::kActive);
+  ASSERT_EQ(result.outcome, gram::ProbeResult::Outcome::kAnswered);
+  EXPECT_EQ(result.states[contact], "ACTIVE");
+  EXPECT_EQ(result.states["gk.anl.gov:999"], gram::kProbeDead);
+}
+
+TEST_F(GramFixture, ActiveReportedAtLocalStart) {
+  // A job that must queue behind a full cluster reports ACTIVE the moment
+  // the local scheduler starts it, not at the next poll of the queue.
+  gatekeeper.reset();  // unregister before the replacement registers
+  cluster = std::make_unique<cb::FifoScheduler>(world.sim(), "pbs.anl", 1);
+  gatekeeper = std::make_unique<gram::Gatekeeper>(site, world.net(), *cluster);
+  std::map<std::string, double> active_at;
+  submit.register_service("gram.cb2", [&](const cs::Message& m) {
+    if (m.body.get("state") == "ACTIVE") {
+      active_at.emplace(m.body.get("contact"), world.now());
+    }
+  });
+  for (int i = 0; i < 2; ++i) {
+    client.submit(gatekeeper->address(), spec(100.0),
+                  {"submit.wisc.edu", "gram.cb2"},
+                  [](std::optional<std::string>) {});
+  }
+  world.sim().run_until(2000.0);
+  ASSERT_EQ(cluster->history().size(), 2u);
+  ASSERT_EQ(active_at.size(), 2u);
+  for (const cb::JobRecord& record : cluster->history()) {
+    const auto it = active_at.find(record.request.tag);
+    ASSERT_NE(it, active_at.end()) << record.request.tag;
+    // One callback hop after the local start, never a poll quantum later.
+    EXPECT_GE(it->second, record.start_time);
+    EXPECT_LT(it->second, record.start_time + 1.0) << record.request.tag;
+  }
 }
 
 TEST_F(GramFixture, CancelTerminatesJob) {
@@ -227,11 +261,14 @@ TEST_F(GramFixture, F1JobManagerCrashJobSurvivesAndReattaches) {
   client.ping_jobmanager(contact, [&](bool ok) { jm_alive = ok; });
   world.sim().run_until(world.now() + 60.0);
   EXPECT_FALSE(jm_alive);
-  // But the gatekeeper still answers (distinguishes F1 from F2/F4)...
-  bool gk_alive = false;
-  client.ping_gatekeeper(gatekeeper->address(), [&](bool ok) { gk_alive = ok; });
+  // But the gatekeeper still answers, naming the JobManager DEAD
+  // (distinguishes F1 from F2/F4)...
+  gram::ProbeResult probe;
+  client.probe_jobs(gatekeeper->address(), {contact},
+                    [&](const gram::ProbeResult& r) { probe = r; });
   world.sim().run_until(world.now() + 60.0);
-  EXPECT_TRUE(gk_alive);
+  EXPECT_EQ(probe.outcome, gram::ProbeResult::Outcome::kAnswered);
+  EXPECT_EQ(probe.states[contact], gram::kProbeDead);
   // ...so the client asks for a JobManager restart and the job completes.
   std::optional<gram::GramJobState> state;
   client.restart_jobmanager(contact, [&](auto s) { state = s; });
@@ -264,14 +301,17 @@ TEST_F(GramFixture, F4PartitionJobUnaffectedAndReconnects) {
   const std::string contact = submit_and_await("ACTIVE");
   ASSERT_FALSE(contact.empty());
   world.net().set_partitioned("submit.wisc.edu", "gk.anl.gov", true);
-  bool jm_alive = true, gk_alive = true;
+  bool jm_alive = true;
+  gram::ProbeResult probe;
+  probe.outcome = gram::ProbeResult::Outcome::kAnswered;
   client.ping_jobmanager(contact, [&](bool ok) { jm_alive = ok; });
-  client.ping_gatekeeper(gatekeeper->address(), [&](bool ok) { gk_alive = ok; });
+  client.probe_jobs(gatekeeper->address(), {contact},
+                    [&](const gram::ProbeResult& r) { probe = r; });
   world.sim().run_until(world.now() + 60.0);
   // During a partition the client cannot distinguish F2 from F4: both
   // probes fail.
   EXPECT_FALSE(jm_alive);
-  EXPECT_FALSE(gk_alive);
+  EXPECT_EQ(probe.outcome, gram::ProbeResult::Outcome::kSilent);
   // Job completes during the partition; output staging retries.
   world.sim().run_until(world.now() + 600.0);
   EXPECT_EQ(cluster->history().size(), 1u);

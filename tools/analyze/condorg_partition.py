@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Partition-safety analyzer: prove the kernel is island-parallel-ready.
 
-ROADMAP item 2 wants to shard the calendar-queue kernel into
-conservatively-synchronized islands (one per host group). That is only
+The island kernel shards the calendar queue into conservatively-
+synchronized islands, one per host group (ROADMAP item 1 covers its
+future; host-local state outlives it as a §4.2 crash property). That is only
 legal if daemon state is host-local and every cross-host interaction goes
 through a message boundary (sim::Network / sim::Rpc) that an island
 scheduler can turn into a cross-island event. This tool is the static half

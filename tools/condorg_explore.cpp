@@ -43,6 +43,7 @@ struct Options {
   std::uint64_t seed = 1;
   std::size_t require_distinct = 0;
   bool require_exhausted = false;
+  std::vector<std::string> require_crash_points;
   bool expect_violation = false;
   bool list = false;
   bool list_crash_points = false;
@@ -54,6 +55,7 @@ int usage(const char* argv0) {
       "usage: %s [--scenario NAME] [--max-schedules N] [--random N]\n"
       "          [--max-choice-points N] [--max-branch N] [--crash-budget N]\n"
       "          [--seed N] [--require-distinct N] [--require-exhausted]\n"
+      "          [--require-crash-point POINT]...\n"
       "          [--expect-violation] [--dump DIR]\n"
       "       %s --replay FILE [--scenario NAME]\n"
       "       %s --list | --list-crash-points\n",
@@ -155,6 +157,18 @@ int run_explore(const Options& options) {
                  options.max_schedules);
     return 1;
   }
+  std::printf("crashed at:");
+  for (const std::string& point : result.crashed_points) {
+    std::printf(" %s", point.c_str());
+  }
+  std::printf("\n");
+  for (const std::string& point : options.require_crash_points) {
+    if (result.crashed_points.count(point) == 0) {
+      std::fprintf(stderr, "no schedule crashed at required point %s\n",
+                   point.c_str());
+      return 1;
+    }
+  }
   if (result.distinct_schedules < options.require_distinct) {
     std::fprintf(stderr, "only %zu distinct schedules (need >= %zu)\n",
                  result.distinct_schedules, options.require_distinct);
@@ -174,6 +188,8 @@ int main(int argc, char** argv) {
       options.list = true;
     } else if (std::strcmp(arg, "--list-crash-points") == 0) {
       options.list_crash_points = true;
+    } else if (std::strcmp(arg, "--require-crash-point") == 0 && has_value) {
+      options.require_crash_points.emplace_back(argv[++i]);
     } else if (std::strcmp(arg, "--require-exhausted") == 0) {
       options.require_exhausted = true;
     } else if (std::strcmp(arg, "--expect-violation") == 0) {

@@ -4,10 +4,11 @@
 // GRAM/GASS/MDS/GSI message types that cross the user/site/central
 // partition boundary *statically*, from the source. This tool measures the
 // same boundary *dynamically*: it arms sim::Profiler, runs one campaign
-// that exercises every protocol leg (two-phase submission, staging,
-// polling, MyProxy refresh, MDS registration/query, and the rare recovery
-// RPCs no healthy campaign emits — pings, restart_jobmanager, update_gass,
-// refresh_credential, cancel, the odd GASS verbs, grrp.unregister), then
+// that exercises every protocol leg (two-phase submission, staging, the
+// per-site gram.probe_jobs, MyProxy refresh, MDS registration/query, and the
+// rare recovery RPCs no healthy campaign emits — jm.ping,
+// restart_jobmanager, update_gass, refresh_credential, cancel, the odd GASS
+// verbs, grrp.unregister), then
 // compares the set of message types observed crossing partitions in the
 // profiler's traffic matrix against the report's cut classification.
 //
@@ -167,7 +168,8 @@ Observation run_scenario(std::vector<std::string>& problems) {
   const std::uint64_t long_id = agent.submit(desc);
 
   // Run until the long job holds a contact (the short jobs complete along
-  // the way, exercising submit/commit/callback/status and both stagings).
+  // the way, exercising submit/commit/callback, the site probe and both
+  // stagings).
   while (testbed.world().now() < 4000.0 &&
          agent.query(long_id)->gram_contact.empty()) {
     if (!testbed.world().sim().run_until(testbed.world().now() + 50.0)) break;
@@ -183,7 +185,6 @@ Observation run_scenario(std::vector<std::string>& problems) {
   condorg::gram::GramClient extra(submit, testbed.world().net(),
                                   "profile.check");
   extra.set_credential(proxy);
-  extra.ping_gatekeeper(site0.gatekeeper_address(), [](bool) {});
   extra.ping_jobmanager(contact, [](bool) {});
   extra.update_gass(contact, agent.gridmanager().gass_address(),
                     [](bool) {});
