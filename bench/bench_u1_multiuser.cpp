@@ -21,12 +21,10 @@
 //     than the mean retained full-requery reference cycle (exit 7);
 //   * fairness — Jain's index over per-user matched jobs, snapshotted the
 //     moment half the campaign has matched, must be >= 0.9 (exit 7);
-//   * determinism — a reduced shape runs jitter-free under CONDORG_PARALLEL
-//     in {legacy, 1, 8}; the FNV outcome digest (every job's status and
-//     lifecycle times, every user's matched count) must be byte-identical
-//     across all three, and the kernel's key-stream digest across the two
-//     island runs (the legacy kernel folds a different key universe by
-//     design, so the outcome digest is the cross-kernel witness) (exit 6).
+//   * determinism — a reduced shape runs twice from the same seed; the FNV
+//     outcome digest (every job's status and lifecycle times, every user's
+//     matched count) and the kernel's trace digest must be identical
+//     across the two runs (exit 6).
 // The anti-entropy sweep runs throughout (full_sweep_every); any recorded
 // delta-vs-reference divergence fails the binary directly (exit 5).
 #include <algorithm>
@@ -74,7 +72,7 @@ struct Shape {
 // other half stays permanently eligible-but-unmatchable (the heterogeneity
 // the reference matcher re-scans every cycle).
 constexpr Shape kStorm = {1000, 10, 16, 8, 16, 5, 40.0, 10.0, 30000.0};
-// Reduced shape for the CONDORG_PARALLEL digest triple.
+// Reduced shape for the same-seed digest pair.
 constexpr Shape kDigestShape = {48, 4, 8, 4, 4, 2, 20.0, 10.0, 6000.0};
 
 constexpr double kCyclePeriod = 5.0;
@@ -136,21 +134,8 @@ double jain_index(const std::vector<double>& xs) {
   return sum * sum / (static_cast<double>(xs.size()) * sum_sq);
 }
 
-StormResult run_storm(int threads, const Shape& shape, bool timed,
-                      bool jitter_free = false) {
-  sim::World::ScopedParallelOverride force(threads);
+StormResult run_storm(const Shape& shape, bool timed) {
   sim::World world(/*seed=*/2001);
-
-  if (jitter_free) {
-    // Digest runs: the legacy kernel draws jitter from the shared network
-    // stream, island mode from per-sender streams — different draws, so a
-    // cross-kernel comparison is only meaningful with the jitter (the sole
-    // RNG consumer on this workload) switched off. Base latency stays, so
-    // the island lookahead is unchanged.
-    sim::LinkConfig link = world.net().default_link();
-    link.jitter = 0.0;
-    world.net().set_default_link(link);
-  }
 
   sim::Host& central = world.add_host("portal.grid");
   cc::Collector collector(central, world.net());
@@ -278,8 +263,6 @@ StormResult run_storm(int threads, const Shape& shape, bool timed,
 
   // Outcome digest: every job's terminal state and lifecycle times plus the
   // per-user matched counts, folded in the (deterministic) user/job order.
-  // Unlike the kernel key-stream digest this is kernel-agnostic, so it is
-  // what the {legacy, 1, 8} triple compares.
   const auto fold_time = [](std::uint64_t h, sim::Time t) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &t, sizeof(bits));
@@ -381,10 +364,10 @@ int main() {
               static_cast<unsigned long long>(kStorm.jobs_per_user),
               kStorm.groups, kStorm.busy_groups, kStorm.slots_per_group);
 
-  // Headline: legacy kernel with the negotiator's wall clock armed; the
-  // delta-vs-reference cycle means come out of the same run (the sweep
-  // times the retained reference path on identical state).
-  const StormResult storm = run_storm(/*threads=*/0, kStorm, /*timed=*/true);
+  // Headline: the negotiator's wall clock armed; the delta-vs-reference
+  // cycle means come out of the same run (the sweep times the retained
+  // reference path on identical state).
+  const StormResult storm = run_storm(kStorm, /*timed=*/true);
   std::printf(
       "  storm   wall %8.1f ms  completed %zu  cycles %llu (skipped %llu)  "
       "matches %llu\n",
@@ -402,22 +385,15 @@ int main() {
       storm.jain, storm.snapshot_fraction * 100.0, storm.max_min_ratio,
       storm.p99_time_to_active_s);
 
-  // Determinism triple on the reduced shape: the per-user hosts land in
-  // distinct islands, so this is the island engine under its intended load.
-  // Jitter-free, so legacy and island runs see identical message timing;
-  // the outcome digest must agree across all three, the kernel key-stream
-  // digest (a per-kernel encoding) across the island pair.
+  // Determinism pair on the reduced shape: two runs from the same seed
+  // must agree on the outcome digest and on the kernel's trace digest.
   std::vector<std::pair<std::string, StormResult>> digest_runs;
-  for (const int threads : {0, 1, 8}) {
-    const std::string label =
-        threads == 0 ? std::string("legacy") : "N" + std::to_string(threads);
-    digest_runs.emplace_back(label, run_storm(threads, kDigestShape,
-                                              /*timed=*/false,
-                                              /*jitter_free=*/true));
+  for (const char* label : {"run1", "run2"}) {
+    digest_runs.emplace_back(label, run_storm(kDigestShape, /*timed=*/false));
     const StormResult& run = digest_runs.back().second;
     std::printf(
         "  %-7s wall %8.1f ms  outcome %s  kernel %s  dispatched %llu\n",
-        label.c_str(), static_cast<double>(run.wall_ns) / 1e6,
+        label, static_cast<double>(run.wall_ns) / 1e6,
         hex64(run.outcome_digest).c_str(), hex64(run.digest).c_str(),
         static_cast<unsigned long long>(run.dispatched));
   }
@@ -425,13 +401,8 @@ int main() {
   const StormResult& first = digest_runs.front().second;
   for (const auto& [label, run] : digest_runs) {
     if (run.outcome_digest != first.outcome_digest ||
-        run.jobs_completed != first.jobs_completed) {
-      digests_identical = false;
-    }
-    // The island pair must agree on the committed key stream too.
-    if (label != "legacy" &&
-        (run.digest != digest_runs.back().second.digest ||
-         run.dispatched != digest_runs.back().second.dispatched)) {
+        run.jobs_completed != first.jobs_completed ||
+        run.digest != first.digest || run.dispatched != first.dispatched) {
       digests_identical = false;
     }
   }
@@ -439,7 +410,7 @@ int main() {
   cu::JsonValue benchmarks = cu::JsonValue::array();
   {
     cu::JsonValue row = cu::JsonValue::object();
-    row["name"] = "BM_MultiUserStorm/legacy";
+    row["name"] = "BM_MultiUserStorm";
     row["iterations"] = 1.0;
     row["real_time_ns"] = static_cast<double>(storm.wall_ns);
     row["cpu_time_ns"] = static_cast<double>(storm.wall_ns);
@@ -447,13 +418,6 @@ int main() {
   }
   cu::JsonValue runs = cu::JsonValue::array();
   for (const auto& [label, run] : digest_runs) {
-    cu::JsonValue row = cu::JsonValue::object();
-    row["name"] = "BM_DigestShape/" + label;
-    row["iterations"] = 1.0;
-    row["real_time_ns"] = static_cast<double>(run.wall_ns);
-    row["cpu_time_ns"] = static_cast<double>(run.wall_ns);
-    benchmarks.push_back(std::move(row));
-
     cu::JsonValue entry = cu::JsonValue::object();
     entry["mode"] = label;
     entry["outcome_digest"] = hex64(run.outcome_digest);
@@ -515,8 +479,7 @@ int main() {
   }
   if (!digests_identical) {
     std::fprintf(stderr,
-                 "U1: digests diverged across CONDORG_PARALLEL "
-                 "{legacy, 1, 8}\n");
+                 "U1: digests diverged across two same-seed runs\n");
     return 6;
   }
   if (storm.speedup < kSpeedupFloor) {

@@ -3,7 +3,7 @@
 # warnings-as-errors build with the plain test suite, the DetSan smoke
 # runs, then the same suite under ASan+UBSan (with the invariant auditor
 # compiled into examples/benches). Mirrors what CI runs; use the CMake
-# presets (dev / asan / tsan) for the individual pieces. Each stage prints
+# presets (dev / asan) for the individual pieces. Each stage prints
 # its wall time so regressions in the gate itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,17 +24,17 @@ python3 tools/lint/condorg_lint.py --root .
 python3 tools/lint/condorg_lint.py --root . --self-test
 stage_end
 
-stage_begin "analyze.partition (island-cut report + rule self-test)"
+stage_begin "analyze.partition (cross-host cut report + rule self-test)"
 # The static half of the partition-safety story: zero violations in the
-# tree, every fixture mutation caught, and an island-cut report covering
-# the GRAM/GASS/MDS/GSI message boundaries.
+# tree, every fixture mutation caught, and a cross-host cut report
+# covering the GRAM/GASS/MDS/GSI message boundaries.
 python3 tools/analyze/condorg_partition.py --root . --build-dir build \
   --report build/partition_report.json
 python3 tools/analyze/condorg_partition.py --self-test
 stage_end
 
 stage_begin "analyze.proto (protocol-conformance report + rule self-test)"
-# The spec-checked message graph: every island-cut message type must carry
+# The spec-checked message graph: every cross-host message type must carry
 # a spec entry (sender, receiver, reply, timeout owner, durability), every
 # handler must reply on all paths, every durable transition's crash points
 # must exist in code AND in the Explorer's enumerated table, and every
@@ -89,22 +89,6 @@ CONDORG_MUTATE_DEDUP=1 ./build/tools/condorg_explore --scenario quickstart \
   --expect-violation >/dev/null
 CONDORG_MUTATE_CROSS_HOST=1 ./build/tools/condorg_explore \
   --scenario quickstart --expect-violation >/dev/null
-stage_end
-
-stage_begin "kernel.parallel_digest (island kernel, N-independence)"
-# The island kernel must produce byte-identical results whatever the
-# worker count. Full scenario output (job tables, recovery epilogue) is
-# the proxy here; the digest/tracer/explorer matrix is
-# tests/parallel_digest_test.cpp, and bench_k1_island_scale gates the
-# same property on a campaign 100x this size.
-pd_dir="$(mktemp -d)"
-CONDORG_PARALLEL=1 ./build/examples/quickstart > "${pd_dir}/q1.out"
-CONDORG_PARALLEL=8 ./build/examples/quickstart > "${pd_dir}/q8.out"
-cmp "${pd_dir}/q1.out" "${pd_dir}/q8.out"
-CONDORG_PARALLEL=2 ./build/examples/fault_drill > "${pd_dir}/f2.out"
-CONDORG_PARALLEL=4 ./build/examples/fault_drill > "${pd_dir}/f4.out"
-cmp "${pd_dir}/f2.out" "${pd_dir}/f4.out"
-rm -rf "${pd_dir}"
 stage_end
 
 stage_begin "trace determinism + report self-check"
@@ -169,17 +153,6 @@ stage_begin "ASan+UBSan build + tests (auditor enabled)"
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "${jobs}"
 ctest --preset asan -j "${jobs}"
-stage_end
-
-stage_begin "TSan island kernel (racy-by-construction suite)"
-# The windowed executor really runs worker threads, so the digest tests
-# double as the race harness: build just the island suites under
-# ThreadSanitizer and run them with an 8-thread budget.
-cmake --preset tsan >/dev/null
-cmake --build --preset tsan -j "${jobs}" \
-  --target island_test parallel_digest_test
-CONDORG_PARALLEL=8 ./build-tsan/tests/island_test
-./build-tsan/tests/parallel_digest_test
 stage_end
 
 echo "ALL CHECKS PASSED"

@@ -77,10 +77,6 @@ class LocalScheduler {
   /// Cancel a queued or running job. Returns false for unknown/terminal.
   bool cancel(std::uint64_t id);
 
-  /// Invoked on every terminal transition (complete, walltime kill,
-  /// cancel). Multiple handlers may be registered (JobManager + metrics).
-  void add_completion_handler(CompletionHandler handler);
-
   /// Invoked once when job `id` reaches a terminal state, then discarded.
   /// If the job is already terminal the handler fires immediately. Returns
   /// a token for remove_job_handler.
@@ -133,7 +129,6 @@ class LocalScheduler {
   std::map<std::uint64_t, JobRecord> jobs_;
   std::map<std::uint64_t, sim::EventId> completion_events_;
   std::vector<std::uint64_t> queue_;  // ids of queued jobs, FIFO order
-  std::vector<CompletionHandler> handlers_;
   struct JobHandler {
     std::uint64_t token;
     CompletionHandler handler;

@@ -51,10 +51,6 @@ bool LocalScheduler::cancel(std::uint64_t id) {
   return true;
 }
 
-void LocalScheduler::add_completion_handler(CompletionHandler handler) {
-  handlers_.push_back(std::move(handler));
-}
-
 std::uint64_t LocalScheduler::add_job_handler(std::uint64_t id,
                                               CompletionHandler handler) {
   const std::uint64_t token = next_handler_token_++;
@@ -165,12 +161,10 @@ void LocalScheduler::finish_job(std::uint64_t id, JobState state) {
     if (state == JobState::kCompleted) cpu_seconds_ += used;
   }
   history_.push_back(record);
-  // Copy: a handler may submit (reentrancy into try_dispatch is fine since
-  // we dispatch after notifying).
-  const auto handlers = handlers_;
-  const JobRecord snapshot = record;
-  for (const auto& handler : handlers) handler(snapshot);
   if (const auto it = job_handlers_.find(id); it != job_handlers_.end()) {
+    // Copy: a handler may submit (reentrancy into try_dispatch is fine since
+    // we dispatch after notifying).
+    const JobRecord snapshot = record;
     const JobHandlers per_job = std::move(it->second);
     job_handlers_.erase(it);
     // A job that never started drops its start handlers unfired.

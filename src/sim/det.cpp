@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
 #include "condorg/sim/host.h"
 
@@ -13,31 +12,19 @@ namespace {
 // first kMaxRecorded is enough to diagnose while bounding memory.
 constexpr std::size_t kMaxRecorded = 256;
 
-// Guards storage() and g_count: island workers can record violations
-// concurrently. Harvesting (take_violations/report) happens only from
-// quiescent harness code. A violating run's *recording order* may vary
-// with the interleaving — the clean-run contract (count == 0), which is
-// what the digest tests assert, is interleaving-independent.
-std::mutex& storage_mu() {
-  // lint-allow(mutable-global): detsan's own lock, see above
-  static std::mutex mu;
-  return mu;
-}
-
 std::vector<Violation>& storage() {
-  // The sanitizer's own recording buffer; guarded by storage_mu().
-  // lint-allow(mutable-global): detsan's own state, see above
+  // The sanitizer's own recording buffer, harvested by take_violations().
+  // lint-allow(mutable-global): detsan's own state
   static std::vector<Violation> v;
   return v;
 }
-// lint-allow(mutable-global): see storage() above; guarded by storage_mu().
+// lint-allow(mutable-global): detsan's own state, see storage() above
 std::size_t g_count = 0;
 
-// Per-thread stamp of the host whose event is being dispatched. Kept
-// TU-local (not extern in det.h) so every access uses the direct TLS
-// path — GCC's UBSan falsely reports null on the cross-TU TLS wrapper.
-// lint-allow(mutable-global): thread-local dispatch stamp, see above
-thread_local const sim::Host* g_current = nullptr;
+// Stamp of the host whose event is being dispatched (null outside event
+// context). Kept TU-local so the header exposes only the arm flag.
+// lint-allow(mutable-global): dispatch stamp, see above
+const sim::Host* g_current = nullptr;
 
 void record(const sim::Host* owner, const char* label) {
   Violation violation;
@@ -45,7 +32,6 @@ void record(const sim::Host* owner, const char* label) {
   violation.owner = owner != nullptr ? owner->name() : "<null>";
   violation.accessor = g_current != nullptr ? g_current->name() : "<null>";
   violation.label = label != nullptr ? label : "<unlabelled>";
-  std::lock_guard<std::mutex> lock(storage_mu());
   ++g_count;
   std::vector<Violation>& v = storage();
   if (v.size() >= kMaxRecorded) return;
@@ -99,18 +85,13 @@ bool arm_from_env() {
 }
 
 std::vector<Violation> take_violations() {
-  std::lock_guard<std::mutex> lock(storage_mu());
   std::vector<Violation> out = std::move(storage());
   storage().clear();
   g_count = 0;
   return out;
 }
 
-std::size_t violation_count() {
-  std::lock_guard<std::mutex> lock(storage_mu());
-  const std::size_t count = g_count;
-  return count;
-}
+std::size_t violation_count() { return g_count; }
 
 std::size_t report(const char* what) {
   const std::size_t count = violation_count();

@@ -1,7 +1,6 @@
 #include "condorg/sim/host.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -9,50 +8,27 @@
 #include "condorg/sim/schedule_controller.h"
 
 namespace condorg::sim {
-namespace {
-/// post_coalesced grid (island mode only): status polls, lease renewals and
-/// credential refreshes land on 25 ms edges so herd timers share calendar
-/// buckets and windows stay fat. Two orders of magnitude below every
-/// protocol interval in the system, so rounding is observable only as a
-/// (deterministic) sub-grid phase shift.
-constexpr Time kCoalesceGrid = 0.025;
-}  // namespace
-
-Host::Host(Simulation& sim, std::string name, std::uint32_t queue)
-    : sim_(sim), name_(std::move(name)), queue_(queue) {}
-
-EventId Host::post_at(Time when, std::function<void()> fn) {
-  const Epoch expected = epoch_;
-  return sim_.schedule_on_queue(
-      queue_, when, [this, expected, fn = std::move(fn)] {
-        if (alive_ && epoch_ == expected) {
-          // DetSan: this event executes on this host.
-          det::ScopedHost scope(this);
-          run_profiled(fn);
-        }
-      });
-}
+Host::Host(Simulation& sim, std::string name)
+    : sim_(sim), name_(std::move(name)) {}
 
 EventId Host::post(Time delay, std::function<void()> fn) {
-  return post_at(sim_.now() + delay, std::move(fn));
-}
-
-EventId Host::post_coalesced(Time delay, std::function<void()> fn) {
-  Time when = sim_.now() + delay;
-  if (sim_.island_mode()) {
-    when = std::ceil(when / kCoalesceGrid) * kCoalesceGrid;
-  }
-  return post_at(when, std::move(fn));
+  const Epoch expected = epoch_;
+  return sim_.schedule_in(delay, [this, expected, fn = std::move(fn)] {
+    if (alive_ && epoch_ == expected) {
+      // DetSan: this event executes on this host.
+      det::ScopedHost scope(this);
+      run_profiled(fn);
+    }
+  });
 }
 
 EventId Host::post_any_epoch(Time delay, std::function<void()> fn) {
-  return sim_.schedule_on_queue(
-      queue_, sim_.now() + delay, [this, fn = std::move(fn)] {
-        if (alive_) {
-          det::ScopedHost scope(this);
-          run_profiled(fn);
-        }
-      });
+  return sim_.schedule_in(delay, [this, fn = std::move(fn)] {
+    if (alive_) {
+      det::ScopedHost scope(this);
+      run_profiled(fn);
+    }
+  });
 }
 
 void Host::run_profiled(const std::function<void()>& fn) {
@@ -107,9 +83,7 @@ void Host::restart() {
 
 void Host::crash_for(Time downtime) {
   crash();
-  // The restart runs on this host's own queue whatever context crashed it
-  // (fault injection is control-queue code in island mode).
-  sim_.schedule_on_queue(queue_, sim_.now() + downtime, [this] { restart(); });
+  sim_.schedule_in(downtime, [this] { restart(); });
 }
 
 bool Host::crash_point(const char* point) {

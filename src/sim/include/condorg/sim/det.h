@@ -4,20 +4,20 @@
 // agent (Schedd, GridManager, CredentialManager, personal Collector/
 // Negotiator) lives on the submit host, each site's Gatekeeper/JobManager/
 // StagingCache on the site front-end, and they interact only through
-// sim::Network messages. The island kernel (the calendar queue sharded
-// into conservatively-synchronized islands; ROADMAP item 1 covers its
-// future) depends on that property actually holding in the code: one
-// direct cross-host method call on daemon state would break
-// digest-identical island parallelism.
+// sim::Network messages. The paper's crash-isolation argument (§4.2: a
+// site or submit-host failure loses only what that host held in memory)
+// depends on that property actually holding in the code: one direct
+// cross-host method call on daemon state would let a crashed host's peer
+// read state no message ever carried.
 //
 // DetSan verifies the property at runtime. The kernel stamps the host of
-// the currently-dispatching event into a thread-local (ScopedHost, set by
-// Host::post wrappers, Network delivery, and crash/boot callbacks), and
-// every daemon state member wrapped in det::HostLocal<T> asserts on
+// the currently-dispatching event into a process-wide cursor (ScopedHost,
+// set by Host::post wrappers, Network delivery, and crash/boot callbacks),
+// and every daemon state member wrapped in det::HostLocal<T> asserts on
 // access that the accessor's host matches the owner. Driver, test, and
 // harness code runs with a null current host and is always allowed — the
-// invariant is about event-context access, which is exactly what island
-// parallelism would distribute. Ownership migration (e.g. state handed to
+// invariant is about event-context access, i.e. what one simulated host's
+// event may touch. Ownership migration (e.g. state handed to
 // another host through a message) must be declared with handoff().
 //
 // The check itself is one predictable branch on a process-wide flag, so
@@ -30,7 +30,8 @@
 // The static side of the same contract lives in
 // tools/analyze/condorg_partition.py, which reads the
 // CONDORG_HOST_LOCAL() class annotations below to build the
-// state-ownership map and the island-cut graph (partition_report.json).
+// state-ownership map and the cross-host message graph
+// (partition_report.json).
 #pragma once
 
 #include <cstddef>
@@ -66,12 +67,8 @@ struct Violation {
 };
 
 namespace detail {
-// Process-wide arm flag; the per-thread current-host stamp lives entirely
-// inside det.cpp (it is thread_local by design — under the PR 7 island
-// scheduler each worker thread dispatches events for its own island and
-// stamps independently — and confining it to one TU keeps every access on
-// the direct TLS path, which GCC's UBSan mis-flags through the cross-TU
-// wrapper). The disarmed fast path touches only this plain bool.
+// Process-wide arm flag; the current-host stamp lives entirely inside
+// det.cpp. The disarmed fast path touches only this plain bool.
 // lint-allow(mutable-global): detsan arm flag (definition in det.cpp)
 extern bool g_enabled;
 /// Stamp `host` as the dispatching host; returns the previous stamp.

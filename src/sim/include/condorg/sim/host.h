@@ -21,9 +21,7 @@ namespace condorg::sim {
 
 class Host {
  public:
-  /// `queue` is this host's kernel event queue (sim::World passes
-  /// Simulation::register_queue(); 0 — the global queue — in legacy mode).
-  Host(Simulation& sim, std::string name, std::uint32_t queue = 0);
+  Host(Simulation& sim, std::string name);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -31,7 +29,6 @@ class Host {
   const std::string& name() const { return name_; }
   bool alive() const { return alive_; }
   Epoch epoch() const { return epoch_; }
-  std::uint32_t queue() const { return queue_; }
   Simulation& sim() { return sim_; }
   Time now() const { return sim_.now(); }
   /// Observability forwarders (daemons hold a Host&, not the Simulation).
@@ -51,17 +48,6 @@ class Host {
   /// requires the host to be alive at fire time). Used for externally-driven
   /// hardware-ish events.
   EventId post_any_epoch(Time delay, std::function<void()> fn);
-
-  /// post() for periodic herd timers (status polls, lease renewals,
-  /// credential refreshes) whose exact phase carries no protocol meaning.
-  /// In island mode the fire time is rounded up to a coarse grid (25 ms) so
-  /// herd members share calendar buckets — fewer distinct timestamps means
-  /// denser buckets and fewer, fatter synchronization windows, which is
-  /// where the profiler showed the parallel kernel's overhead to live. In
-  /// legacy mode this is exactly post(): the pinned sequential digest does
-  /// not move. The rounding is a pure function of the due time, so it is
-  /// identical for every CONDORG_PARALLEL worker count.
-  EventId post_coalesced(Time delay, std::function<void()> fn);
 
   /// Crash the host: epoch bumps, pending post() callbacks are fenced,
   /// message handlers are dropped, crash listeners run. No-op if down.
@@ -114,12 +100,8 @@ class Host {
   /// kernel profiler when armed (one branch when not).
   void run_profiled(const std::function<void()>& fn);
 
-  /// Epoch-fenced schedule at an absolute time onto this host's queue.
-  EventId post_at(Time when, std::function<void()> fn);
-
   Simulation& sim_;
   std::string name_;
-  std::uint32_t queue_ = 0;
   bool alive_ = true;
   Epoch epoch_ = 1;
   StableStorage disk_;

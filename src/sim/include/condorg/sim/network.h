@@ -11,11 +11,9 @@
 // this layer by the protocols, as in the real system.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -38,30 +36,13 @@ class Network {
   Network(Simulation& sim, std::function<Host*(const std::string&)> resolver);
 
   /// Default link parameters for pairs without an explicit override.
-  void set_default_link(const LinkConfig& config) {
-    default_link_ = config;
-    if (topology_listener_) topology_listener_();
-  }
+  void set_default_link(const LinkConfig& config) { default_link_ = config; }
   const LinkConfig& default_link() const { return default_link_; }
 
   /// Override parameters for a specific (unordered) host pair.
   void set_link(const std::string& a, const std::string& b,
                 const LinkConfig& config);
   const LinkConfig& link(const std::string& a, const std::string& b) const;
-
-  /// All explicitly configured links (IslandPlanner reads these to group
-  /// hosts joined by zero-lookahead links and to bound the lookahead).
-  const std::map<std::pair<std::string, std::string>, LinkConfig>& links()
-      const {
-    return links_;
-  }
-
-  /// Invoked whenever link latencies change (set_default_link / set_link) —
-  /// sim::World forwards this to Simulation::notify_topology_changed so the
-  /// island plan is rebuilt at the next synchronization point.
-  void set_topology_listener(std::function<void()> listener) {
-    topology_listener_ = std::move(listener);
-  }
 
   /// Sever / heal connectivity between two hosts (both directions).
   void set_partitioned(const std::string& a, const std::string& b,
@@ -84,19 +65,11 @@ class Network {
                           std::uint64_t bytes) const;
 
   // --- delivery statistics (for tests and benches) ---
-  // Relaxed atomics: sends and deliveries run concurrently on island
-  // workers; each counter is an independent tally, no ordering is implied.
-  std::uint64_t sent() const { return sent_.load(std::memory_order_relaxed); }
-  std::uint64_t delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t lost() const { return lost_.load(std::memory_order_relaxed); }
-  std::uint64_t blocked_by_partition() const {
-    return blocked_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dead_destination() const {
-    return dead_destination_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t sent() const { return sent_; }
+  std::uint64_t delivered() const { return delivered_; }
+  std::uint64_t lost() const { return lost_; }
+  std::uint64_t blocked_by_partition() const { return blocked_; }
+  std::uint64_t dead_destination() const { return dead_destination_; }
 
   /// Optional tap invoked for every successfully delivered message
   /// (after the handler). Used by protocol traces in tests.
@@ -108,14 +81,6 @@ class Network {
   static std::pair<std::string, std::string> ordered(const std::string& a,
                                                      const std::string& b);
 
-  /// Island mode: the loss/jitter stream for messages sent *by* `host`.
-  /// The legacy kernel draws every message from one shared stream — fine
-  /// when dispatch order is globally serial, a data race (and a thread-count
-  /// dependence) once islands send concurrently. Per-sender streams are
-  /// seeded by name ("network/send/<host>"), so each draw depends only on
-  /// that host's own deterministic send sequence.
-  util::Rng& send_rng(const std::string& host);
-
   Simulation& sim_;
   std::function<Host*(const std::string&)> resolver_;
   LinkConfig default_link_;
@@ -124,16 +89,12 @@ class Network {
   std::set<std::string> isolated_;
   util::Rng rng_;
   std::function<void(const Message&)> tap_;
-  std::function<void()> topology_listener_;
 
-  std::mutex send_rng_mu_;  // guards lazy insertion into send_rngs_ only
-  std::map<std::string, util::Rng> send_rngs_;
-
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> lost_{0};
-  std::atomic<std::uint64_t> blocked_{0};
-  std::atomic<std::uint64_t> dead_destination_{0};
+  std::uint64_t sent_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t lost_ = 0;
+  std::uint64_t blocked_ = 0;
+  std::uint64_t dead_destination_ = 0;
 };
 
 }  // namespace condorg::sim

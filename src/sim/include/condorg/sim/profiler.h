@@ -1,14 +1,14 @@
 // Kernel profiler: measured dispatch counts, handler cost, and the
 // cross-host traffic matrix.
 //
-// PR 6's partition analyzer classifies the island-cut message types
+// The partition analyzer classifies the cross-host message types
 // *statically*; the Profiler measures the same boundary dynamically. When
 // armed it counts every Network delivery per (destination host, daemon,
 // message type) and every Host::post timer fire per host, accumulating the
 // real (wall-clock) nanoseconds each handler burned — the only place in
 // src/ allowed to read the host clock, because it measures the simulator
 // itself, never simulated behavior. The per-(from host, to host, type)
-// aggregation is the traffic matrix an island partitioning would cut;
+// aggregation is the cross-host traffic matrix;
 // tools/condorg_profile_check cross-checks it against the GRAM/GASS/MDS/GSI
 // classification in build/partition_report.json.
 //
@@ -21,10 +21,8 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "condorg/sim/message.h"
 #include "condorg/util/json.h"
@@ -69,21 +67,8 @@ class Profiler {
   const std::map<std::string, Cell>& timers() const { return timers_; }
 
   /// Message types observed between two *distinct* hosts, aggregated over
-  /// host pairs — the dynamic side of the island-cut classification.
+  /// host pairs — the dynamic side of the cross-host classification.
   std::map<std::string, Cell> cross_host_types() const;
-
-  /// One row per island of the parallel kernel, pushed by the Simulation
-  /// when a windowed run finishes. events/inbox/epochs are deterministic;
-  /// the blocked/busy columns are wall clock and gated on include_wall.
-  struct IslandRow {
-    std::uint64_t events = 0;
-    std::uint64_t inbox_messages = 0;
-    std::uint64_t epochs = 0;
-    std::uint64_t blocked_ns = 0;
-    std::uint64_t busy_ns = 0;
-  };
-  void set_island_rows(std::vector<IslandRow> rows);
-  const std::vector<IslandRow>& island_rows() const { return island_rows_; }
 
   /// Full export: dispatch table per (host, daemon, type), timer table per
   /// host, and the from->to traffic matrix. Deterministic unless
@@ -91,16 +76,9 @@ class Profiler {
   util::JsonValue to_json(bool include_wall) const;
 
  private:
-  // Island workers record concurrently; the lock is taken only on the
-  // armed path (CONDORG_PROFILE=1). Aggregation is commutative sums into
-  // ordered maps, so the final tables are identical for every worker
-  // interleaving — the determinism contract of to_json(false) survives
-  // parallel runs. Readers (accessors, to_json) run quiescent.
-  mutable std::mutex mu_;
   bool enabled_ = false;
   std::map<MessageKey, Cell> messages_;
   std::map<std::string, Cell> timers_;
-  std::vector<IslandRow> island_rows_;  // written quiescent (run epilogue)
 };
 
 }  // namespace condorg::sim

@@ -6,37 +6,21 @@
 // is what makes week-long grid campaigns runnable in milliseconds and every
 // run exactly reproducible from its seed.
 //
-// The kernel runs in one of two universes:
-//
-//  * Legacy (default): one global calendar, events totally ordered by
-//    (when, seq) with a process-wide seq counter. Byte-identical to the
-//    pre-island kernel; this is what every existing test, bench baseline,
-//    and the Explorer's recorded schedules pin.
-//
-//  * Island mode (CONDORG_PARALLEL=N, wired by sim::World): every Host owns
-//    its own calendar queue, events are totally ordered by the key
-//    (when, origin queue, origin counter), and islands — groups of queues
-//    connected only by latency-bearing links (see island.h) — advance in
-//    parallel under conservative lookahead. The dispatch stream, and hence
-//    the FNV trace digest, is the merge of the per-island streams in key
-//    order, which is a deterministic function of the scenario alone: the
-//    digest is byte-identical for every worker count N, and N=1 runs the
-//    very same windowed algorithm on the calling thread. When a global
-//    observer is armed (Tracer, InvariantAuditor), the kernel transparently
-//    serializes execution in exact key order so observer output stays
-//    byte-identical too; attaching a ScheduleController (the Explorer)
-//    requires the legacy universe.
+// There is one calendar queue and one thread: events are totally ordered by
+// (when, seq), where seq is a per-Simulation scheduling counter, so equal
+// timestamps dispatch in FIFO order. The FNV trace digest folds that stream
+// and is what every test, bench baseline and the Explorer's recorded
+// schedules pin. Crash isolation between simulated hosts is a property of
+// the protocols (epoch-fenced Host::post, DetSan's HostLocal ownership
+// checks), not of the executor.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "condorg/sim/island.h"
 #include "condorg/sim/profiler.h"
 #include "condorg/sim/tracer.h"
 #include "condorg/sim/types.h"
@@ -47,7 +31,6 @@ namespace condorg::sim {
 
 class InvariantAuditor;
 class ScheduleController;
-struct IslandEngine;
 
 class Simulation {
  public:
@@ -57,22 +40,14 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  /// Simulated time as seen from the calling context. Inside an event this
-  /// is the dispatching queue's clock (in island mode, islands at different
-  /// points of the current window legitimately disagree); outside any event
-  /// it is the committed global clock.
-  Time now() const {
-    const TlsContext& tls = tls_context();
-    return queues_[tls.sim == this ? tls.queue : 0].local_now;
-  }
+  /// Current simulated time: the timestamp of the event being dispatched,
+  /// or, between runs, where the last run left the clock.
+  Time now() const { return now_; }
 
   /// Schedule a callback at an absolute time (>= now). Events with equal
   /// timestamps dispatch in FIFO (scheduling) order — this tie-break is part
   /// of the kernel's contract and is pinned by tests: protocol layers rely
-  /// on "schedule A then B at time t => A runs before B". In island mode
-  /// the target queue is the scheduling context's queue (daemons schedule
-  /// onto their own island; harness code onto the control queue), and the
-  /// FIFO guarantee holds per scheduling context.
+  /// on "schedule A then B at time t => A runs before B".
   EventId schedule_at(Time when, std::function<void()> fn);
 
   /// Schedule a callback after a delay (>= 0).
@@ -85,9 +60,6 @@ class Simulation {
   }
 
   /// Cancel a pending event. Returns true if the event was still pending.
-  /// Island mode: only the event's own queue context (or the control
-  /// context at a barrier) may cancel — cancelling another island's event
-  /// mid-window would race with its dispatch.
   bool cancel(EventId id);
 
   /// Run until the event queue is empty or stop() is called.
@@ -98,15 +70,17 @@ class Simulation {
   /// remain pending.
   bool run_until(Time until);
 
-  /// Request the active run()/run_until() loop to return. In island mode a
-  /// stop from inside an event halts the calling island immediately; every
-  /// other island still finishes the current window (the committed window
-  /// content is what keeps the digest independent of worker count).
-  void stop();
+  /// Request the active run()/run_until() loop to return after the event
+  /// being dispatched.
+  void stop() { stopped_ = true; }
 
   /// Number of events dispatched so far (for micro-benchmarks / debugging).
   std::uint64_t dispatched() const { return dispatched_; }
-  std::size_t pending() const;
+  /// Live (non-cancelled) pending events.
+  std::size_t pending() const { return live_; }
+  /// Cancelled entries still buried in the calendar. Exact: it rises on
+  /// cancel and falls as the lazy deletion drains the entry.
+  std::uint64_t tombstones() const { return tombstones_; }
 
   /// Master RNG; prefer make_rng() for per-component streams.
   util::Rng& rng() { return rng_; }
@@ -114,23 +88,17 @@ class Simulation {
   /// Deterministic per-component stream derived from the master seed.
   util::Rng make_rng(std::string_view label) const { return rng_.split(label); }
 
-  /// Rolling FNV-1a hash over the committed dispatch stream — a digest of
-  /// the run's event order. Legacy mode mixes every dispatched (time, seq)
-  /// pair in dispatch order; island mode mixes every (time, origin queue,
-  /// origin counter) key in global key order (the deterministic merge of
-  /// the per-island streams). Two runs of the same scenario from the same
-  /// seed — and, in island mode, under any CONDORG_PARALLEL worker count —
-  /// must produce identical digests; a mismatch is the determinism
-  /// self-check's proof that hidden state (wall clock, unordered iteration,
-  /// ambient RNG, or an island executing past its lookahead) leaked into
-  /// scheduling.
+  /// Rolling FNV-1a hash over every dispatched (time, seq) pair in dispatch
+  /// order — a digest of the run's event order. Two runs of the same
+  /// scenario from the same seed must produce identical digests; a mismatch
+  /// is the determinism self-check's proof that hidden state (wall clock,
+  /// unordered iteration, ambient RNG) leaked into scheduling.
   std::uint64_t trace_digest() const { return trace_digest_; }
 
   /// Attach an invariant auditor: dispatch runs its checks between events,
   /// every `period` dispatches (the world is quiescent there — no callback
   /// is mid-flight). Pass nullptr to detach. The auditor must outlive the
-  /// attachment. Island mode serializes execution while an auditor is
-  /// attached (the auditor reads cross-island state).
+  /// attachment.
   void attach_auditor(InvariantAuditor* auditor, std::uint64_t period = 1024);
   InvariantAuditor* auditor() const { return auditor_; }
 
@@ -139,9 +107,10 @@ class Simulation {
   /// one, and Host::crash_point / Network delivery quantization consult it.
   /// Pass nullptr to detach; with none attached, dispatch is plain FIFO and
   /// the trace digest is byte-identical to an uncontrolled run. The
-  /// controller must outlive the attachment. Incompatible with island mode
-  /// (the Explorer runs the legacy universe; see World::set_parallel_override).
-  void set_controller(ScheduleController* controller);
+  /// controller must outlive the attachment.
+  void set_controller(ScheduleController* controller) {
+    controller_ = controller;
+  }
   ScheduleController* controller() const { return controller_; }
 
   /// Metric registry shared by every daemon in this world. Per-Simulation
@@ -158,109 +127,32 @@ class Simulation {
   Profiler& profiler() { return profiler_; }
   const Profiler& profiler() const { return profiler_; }
 
-  // --- island-parallel kernel ---
-
-  /// Switch this Simulation into island mode with a budget of `threads`
-  /// window workers (>= 1). Must be called before any event is scheduled;
-  /// the universes differ in event-id packing and tie-break order, so they
-  /// cannot be mixed within one run. Normally called by sim::World from
-  /// CONDORG_PARALLEL.
-  void configure_islands(unsigned threads);
-  bool island_mode() const { return island_mode_; }
-  unsigned island_threads() const { return island_threads_; }
-
-  /// Register a new per-host event queue (island mode; World::add_host).
-  /// Returns the queue id. In legacy mode returns 0 (the global queue).
-  std::uint32_t register_queue();
-  std::size_t queue_count() const { return queues_.size(); }
-
-  /// Install the hook that (re)builds the island plan. Invoked at run entry
-  /// and at window barriers after the topology changed (see
-  /// notify_topology_changed). Installed by sim::World.
-  void set_island_plan_hook(std::function<IslandPlan()> hook);
-  const IslandPlan& island_plan() const { return plan_; }
-
-  /// Tell the kernel hosts/links changed; the plan hook is re-run at the
-  /// next synchronization point. Safe from the control context only.
-  void notify_topology_changed() { ++topology_version_; }
-
-  /// Queue of the current scheduling context: the dispatching event's queue
-  /// inside an event, 0 (control) outside.
-  std::uint32_t context_queue() const {
-    const TlsContext& tls = tls_context();
-    return tls.sim == this ? tls.queue : 0;
-  }
-
-  /// Schedule onto an explicit queue (Host::post routes timers to the
-  /// host's own queue whatever context arms them). Origin — and therefore
-  /// the FIFO tie-break — is still the scheduling context.
-  EventId schedule_on_queue(std::uint32_t queue, Time when,
-                            std::function<void()> fn);
-
-  /// Cross-island delivery (Network): enqueue `fn` to run on `queue` at
-  /// `when`, ordered by the sender's (origin, counter) key. In parallel
-  /// windows this goes through the target island's inbox and is integrated
-  /// at the next barrier; no EventId is returned because deliveries are
-  /// never cancelled (loss and partitions are decided before scheduling).
-  void schedule_cross(std::uint32_t queue, Time when, std::function<void()> fn);
-
-  /// Per-island execution statistics (events dispatched, inbox messages
-  /// integrated, window epochs, blocked/busy wall time). Deterministic
-  /// columns only unless `include_wall`; see Profiler::to_json.
-  struct IslandStat {
-    std::uint64_t events = 0;
-    std::uint64_t inbox_messages = 0;
-    std::uint64_t epochs = 0;
-    std::uint64_t blocked_ns = 0;  // wall clock, nondeterministic
-    std::uint64_t busy_ns = 0;     // wall clock, nondeterministic
-  };
-  std::vector<IslandStat> island_stats() const;
-
-  /// Calendar introspection (tests / debugging): live pending events and
-  /// buried cancelled entries of one queue. The tombstone count is exact —
-  /// it rises on cancel and falls as the lazy deletion drains the entry —
-  /// so a cancel storm on one island must leave every other queue's count
-  /// untouched (pinned by the island regression tests).
-  std::size_t queue_pending(std::uint32_t queue) const {
-    return queues_[queue].live;
-  }
-  std::uint64_t queue_tombstones(std::uint32_t queue) const {
-    return queues_[queue].tombstones;
-  }
-
  private:
-  friend struct IslandEngine;
-  friend class Tracer;
-
   // Event storage is a slab of reusable records addressed by a 32-bit slot
   // index; an EventId packs (slot + 1) in the high 32 bits and the slot's
-  // generation in the low 32 (so 0 stays kInvalidEvent) — island mode packs
-  // (queue:14 | slot+1:22 | gen:28) instead, so cancel() can route to the
-  // owning queue. Cancellation just bumps the slot's generation — O(1), no
-  // queue surgery — and the pending entry left behind is lazily discarded
-  // when its bucket drains (its generation no longer matches); the queue's
-  // tombstone counter tracks how many such entries are still buried.
+  // generation in the low 32 (so 0 stays kInvalidEvent). Cancellation just
+  // bumps the slot's generation — O(1), no queue surgery — and the pending
+  // entry left behind is lazily discarded when its bucket drains (its
+  // generation no longer matches); tombstones_ tracks how many such entries
+  // are still buried.
   //
   // The pending set is a calendar of per-timestamp FIFO buckets with a
   // min-heap over the *distinct* timestamps only. Simulated time is heavily
   // tied (timeout grids, periodic cycles, same-tick protocol rounds), so the
   // heap stays tiny and a dispatch is usually "advance the front bucket's
   // cursor" rather than an O(log n_events) sift over megabytes of nodes.
-  // Dispatch order within a queue is exactly (when, origin, ctr): bucket
-  // entries are kept in (origin, ctr) order — plain appends in legacy mode,
-  // where origin is constant and ctr is the global seq, which keeps FIFO
-  // tie-breaks AND the (when, seq) trace digest byte-identical to the
-  // pre-island kernel — and the heap orders distinct times.
+  // Dispatch order is exactly (when, seq): bucket entries are appended in
+  // seq order, and the heap orders distinct times.
   struct PendingEvent {
     Time when;           // verbatim as scheduled (digest input)
-    std::uint64_t seq;   // origin counter: FIFO tiebreaker + digest input
+    std::uint64_t seq;   // FIFO tiebreaker + digest input
     std::uint32_t slot;  // slab index
     std::uint32_t gen;   // generation at scheduling time
   };
   struct Bucket {
     std::uint64_t key = 0;             // normalized bit pattern of `when`
     std::size_t next = 0;              // drain cursor into items
-    std::vector<PendingEvent> items;   // (origin, ctr)-ascending (live ones)
+    std::vector<PendingEvent> items;   // seq-ascending
   };
   struct BucketRef {
     Time when;
@@ -271,9 +163,6 @@ class Simulation {
   struct EventRecord {
     std::function<void()> fn;  // non-null iff live
     std::uint32_t gen = 1;
-    // Origin queue of the scheduling context (island-mode tie-break; always
-    // 0 in legacy mode). Packed next to gen so the record stays 48 bytes.
-    std::uint32_t origin = 0;
     // Tracer causal cursor snapshotted at scheduling time (0 when tracing
     // is off). dispatch() re-installs it around fn() so records emitted by
     // the callback point at the record that caused the event — across
@@ -283,95 +172,41 @@ class Simulation {
     RecordId cause = 0;
   };
 
-  /// One calendar: the global one in legacy mode, per-host in island mode.
-  /// The scratch pick vector and the lazy-deletion (tombstone) accounting
-  /// are deliberately per-queue: a controller pick or a cancel storm on one
-  /// island must not bleed state into another island's calendar.
-  struct QueueState {
-    std::vector<BucketRef> heap;        // min-heap over distinct timestamps
-    std::vector<Bucket> buckets;        // bucket slab; index = BucketRef::bucket
-    std::vector<std::uint32_t> free_buckets;  // recycled buckets (keep caps)
-    std::unordered_map<std::uint64_t, std::uint32_t> bucket_of;  // key → index
-    std::vector<EventRecord> slots;     // slab; index = PendingEvent::slot
-    std::vector<std::uint32_t> free_slots;    // recycled slab slots (LIFO)
-    std::vector<std::size_t> pick_candidates;  // scratch for take_front_event
-    std::size_t live = 0;               // live (non-cancelled) pending events
-    std::uint64_t tombstones = 0;       // cancelled entries awaiting drain
-    std::uint64_t ctr = 0;              // origin counter for this context
-    std::uint64_t events = 0;           // dispatched from this queue
-    Time local_now = 0.0;               // this queue's committed clock
-    bool halted = false;                // stop() called from this queue
-  };
+  /// The slab record for a live event id; nullptr for stale/unknown ids.
+  EventRecord* record_for(EventId id);
 
-  struct TlsContext {
-    const Simulation* sim = nullptr;
-    std::uint32_t queue = 0;
-  };
-  static TlsContext& tls_context();
-
-  /// RAII: mark `queue` as the dispatching context on this thread.
-  class ScopedQueue {
-   public:
-    ScopedQueue(const Simulation* sim, std::uint32_t queue)
-        : previous_(tls_context()) {
-      tls_context() = TlsContext{sim, queue};
-    }
-    ~ScopedQueue() { tls_context() = previous_; }
-    ScopedQueue(const ScopedQueue&) = delete;
-    ScopedQueue& operator=(const ScopedQueue&) = delete;
-
-   private:
-    TlsContext previous_;
-  };
-
-  EventId make_id(std::uint32_t queue, std::uint32_t slot,
-                  std::uint32_t gen) const;
-  /// The slab record for a live event id; nullptr for stale/foreign ids.
-  /// Island mode writes the owning queue to *queue_out.
-  EventRecord* record_for(EventId id, std::uint32_t* queue_out);
-
-  /// Schedule with an explicit origin key (cross-island integration).
-  EventId schedule_keyed(std::uint32_t queue, Time when, std::uint32_t origin,
-                         std::uint64_t ctr, std::function<void()> fn,
-                         RecordId cause);
-
-  void dispatch(std::uint32_t queue, const PendingEvent& ev);
+  void dispatch(const PendingEvent& ev);
   /// Remove the next event from the front bucket. FIFO (cursor) order
   /// normally; with a controller attached, the controller picks among the
   /// bucket's live entries. Requires drop_stale_front() to have run.
-  PendingEvent take_front_event(QueueState& q);
+  PendingEvent take_front_event();
   /// Advance front buckets past cancelled entries; release drained buckets.
   /// Afterwards the heap front (if any) has a live event at its cursor.
-  void drop_stale_front(QueueState& q);
-  static void heap_push(QueueState& q, BucketRef node);
-  static void heap_pop_front(QueueState& q);
+  void drop_stale_front();
+  void heap_push(BucketRef node);
+  void heap_pop_front();
 
-  /// Fold one committed dispatch into the digest (legacy: when+seq; island
-  /// mode: when+origin+ctr).
-  void fold_digest(Time when, std::uint32_t origin, std::uint64_t ctr);
+  void run_loop(Time until, bool bounded);
 
-  void run_legacy(Time until, bool bounded);
-  void run_islands(Time until, bool bounded);
-  /// Lazily (re)build the island plan via the hook.
-  void refresh_plan();
+  std::vector<BucketRef> heap_;        // min-heap over distinct timestamps
+  std::vector<Bucket> buckets_;        // bucket slab; index = BucketRef::bucket
+  std::vector<std::uint32_t> free_buckets_;  // recycled buckets (keep caps)
+  std::unordered_map<std::uint64_t, std::uint32_t> bucket_of_;  // key → index
+  std::vector<EventRecord> slots_;     // slab; index = PendingEvent::slot
+  std::vector<std::uint32_t> free_slots_;    // recycled slab slots (LIFO)
+  std::vector<std::size_t> pick_candidates_;  // scratch for take_front_event
+  std::size_t live_ = 0;               // live (non-cancelled) pending events
+  std::uint64_t tombstones_ = 0;       // cancelled entries awaiting drain
+  std::uint64_t seq_ = 0;              // last assigned scheduling counter
+  Time now_ = 0.0;
 
-  // Atomic because stop() may be called from an island worker thread while
-  // the coordinator (and other islands) are mid-window.
-  std::atomic<bool> stopped_{false};
-  bool island_mode_ = false;
-  unsigned island_threads_ = 1;
+  bool stopped_ = false;
   std::uint64_t dispatched_ = 0;
-  std::vector<QueueState> queues_;  // [0] = control/legacy global queue
   util::Rng rng_;
   std::uint64_t trace_digest_ = 14695981039346656037ull;  // FNV-1a basis
   ScheduleController* controller_ = nullptr;
   InvariantAuditor* auditor_ = nullptr;
   std::uint64_t audit_period_ = 1024;
-  IslandPlan plan_;
-  std::function<IslandPlan()> plan_hook_;
-  std::uint64_t topology_version_ = 1;
-  std::uint64_t planned_version_ = 0;
-  std::unique_ptr<IslandEngine> engine_;
   util::MetricsRegistry metrics_;
   Tracer tracer_{*this};
   Profiler profiler_;

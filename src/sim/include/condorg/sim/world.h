@@ -20,23 +20,6 @@ class World {
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
-  /// Forces the island worker count for Worlds constructed while the guard
-  /// lives, overriding CONDORG_PARALLEL (0 = legacy sequential kernel).
-  /// The Explorer holds a force-legacy guard around its scenario worlds:
-  /// controller-driven exploration requires the sequential universe, and
-  /// counterexample replay must be byte-stable whatever the environment.
-  /// Guards nest (inner wins; destruction restores the outer value).
-  class ScopedParallelOverride {
-   public:
-    explicit ScopedParallelOverride(int threads);
-    ~ScopedParallelOverride();
-    ScopedParallelOverride(const ScopedParallelOverride&) = delete;
-    ScopedParallelOverride& operator=(const ScopedParallelOverride&) = delete;
-
-   private:
-    int previous_;
-  };
-
   Simulation& sim() { return sim_; }
   Network& net() { return net_; }
   Time now() const { return sim_.now(); }

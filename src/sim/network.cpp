@@ -100,19 +100,6 @@ std::pair<std::string, std::string> Network::ordered(const std::string& a,
 void Network::set_link(const std::string& a, const std::string& b,
                        const LinkConfig& config) {
   links_[ordered(a, b)] = config;
-  if (topology_listener_) topology_listener_();
-}
-
-util::Rng& Network::send_rng(const std::string& host) {
-  std::lock_guard<std::mutex> lock(send_rng_mu_);
-  const auto it = send_rngs_.find(host);
-  if (it != send_rngs_.end()) return it->second;
-  // make_rng derives the stream purely from the root seed and the name, so
-  // lazy creation order (which varies with the worker interleaving) does
-  // not affect the draws. std::map nodes are stable: the reference survives
-  // later insertions, and only this host's island ever advances the stream.
-  return send_rngs_.emplace(host, sim_.make_rng("network/send/" + host))
-      .first->second;
 }
 
 const LinkConfig& Network::link(const std::string& a,
@@ -148,22 +135,17 @@ bool Network::isolated(const std::string& host) const {
 }
 
 void Network::send(Message message) {
-  sent_.fetch_add(1, std::memory_order_relaxed);
-  // Island mode draws loss/jitter from the sender's own stream (the shared
-  // stream's draw order would depend on the worker interleaving); the
-  // legacy kernel keeps the shared stream so its pinned digests hold.
-  util::Rng& rng =
-      sim_.island_mode() ? send_rng(message.from.host) : rng_;
+  ++sent_;
   // Local delivery (same host) bypasses the WAN: no loss, tiny latency.
   const bool local = message.from.host == message.to.host;
   if (!local) {
     if (partitioned(message.from.host, message.to.host)) {
-      blocked_.fetch_add(1, std::memory_order_relaxed);
+      ++blocked_;
       return;
     }
     const LinkConfig& cfg = link(message.from.host, message.to.host);
-    if (cfg.loss_probability > 0.0 && rng.chance(cfg.loss_probability)) {
-      lost_.fetch_add(1, std::memory_order_relaxed);
+    if (cfg.loss_probability > 0.0 && rng_.chance(cfg.loss_probability)) {
+      ++lost_;
       return;
     }
   }
@@ -182,34 +164,26 @@ void Network::send(Message message) {
     if (latency <= 0.0) latency = quantum;
   } else {
     latency = cfg.latency +
-              (cfg.jitter > 0.0 ? rng.uniform(0.0, cfg.jitter) : 0.0);
+              (cfg.jitter > 0.0 ? rng_.uniform(0.0, cfg.jitter) : 0.0);
   }
-  // Deliveries target the destination host's kernel queue; when that queue
-  // lives on another island the kernel routes through the island inbox. In
-  // legacy mode every host is queue 0 and this is exactly schedule_in.
-  std::uint32_t dest_queue = 0;
-  if (sim_.island_mode()) {
-    if (Host* d = resolver_(message.to.host)) dest_queue = d->queue();
-  }
-  sim_.schedule_cross(
-      dest_queue, sim_.now() + latency, [this, message = std::move(message)] {
+  sim_.schedule_at(sim_.now() + latency, [this, message = std::move(message)] {
     // Partition may have appeared while in flight.
     if (message.from.host != message.to.host &&
         partitioned(message.from.host, message.to.host)) {
-      blocked_.fetch_add(1, std::memory_order_relaxed);
+      ++blocked_;
       return;
     }
     Host* dest = resolver_(message.to.host);
     if (dest == nullptr || !dest->alive()) {
-      dead_destination_.fetch_add(1, std::memory_order_relaxed);
+      ++dead_destination_;
       return;
     }
     const Host::Handler* handler = dest->find_service(message.to.service);
     if (handler == nullptr) {
-      dead_destination_.fetch_add(1, std::memory_order_relaxed);
+      ++dead_destination_;
       return;
     }
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+    ++delivered_;
     {
       // DetSan: the handler runs on the destination host. The tap is a
       // harness observer and stays outside the stamped scope.

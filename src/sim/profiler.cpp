@@ -26,7 +26,6 @@ std::string Profiler::daemon_family(const std::string& service) {
 }
 
 void Profiler::record_message(const Message& message, std::uint64_t wall_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
   Cell& cell = messages_[MessageKey(message.from.host, message.to.host,
                                     daemon_family(message.to.service),
                                     message.type)];
@@ -36,7 +35,6 @@ void Profiler::record_message(const Message& message, std::uint64_t wall_ns) {
 }
 
 void Profiler::record_timer(const std::string& host, std::uint64_t wall_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
   Cell& cell = timers_[host];
   ++cell.count;
   cell.wall_ns += wall_ns;
@@ -115,27 +113,7 @@ util::JsonValue Profiler::to_json(bool include_wall) const {
     timers[host] = std::move(entry);
   }
   root["timers"] = std::move(timers);
-
-  if (!island_rows_.empty()) {
-    JsonValue islands = JsonValue::array();
-    for (const IslandRow& row : island_rows_) {
-      JsonValue entry = JsonValue::object();
-      entry["events"] = row.events;
-      entry["inbox_messages"] = row.inbox_messages;
-      entry["epochs"] = row.epochs;
-      if (include_wall) {
-        entry["blocked_ns"] = row.blocked_ns;
-        entry["busy_ns"] = row.busy_ns;
-      }
-      islands.push_back(std::move(entry));
-    }
-    root["islands"] = std::move(islands);
-  }
   return root;
-}
-
-void Profiler::set_island_rows(std::vector<IslandRow> rows) {
-  island_rows_ = std::move(rows);
 }
 
 }  // namespace condorg::sim

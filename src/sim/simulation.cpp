@@ -1,14 +1,8 @@
 #include "condorg/sim/simulation.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <condition_variable>
 #include <cstring>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "condorg/sim/invariant_auditor.h"
@@ -35,19 +29,6 @@ std::uint64_t fnv1a_mix(std::uint64_t digest, std::uint64_t value) {
   return digest;
 }
 
-// Calendar key for a timestamp: its bit pattern, with -0.0 folded into +0.0
-// so numerically-equal times land in the same bucket (otherwise two heap
-// entries could tie on `when` and the FIFO order across them would be
-// unspecified). The PendingEvent still carries `when` verbatim — the digest
-// sees exactly the bits that were scheduled.
-std::uint64_t bucket_key(Time when) {
-  if (when == 0.0) when = 0.0;  // normalize -0.0
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(when));
-  std::memcpy(&bits, &when, sizeof(bits));
-  return bits;
-}
-
 std::uint64_t time_bits(Time when) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(when));
@@ -55,578 +36,20 @@ std::uint64_t time_bits(Time when) {
   return bits;
 }
 
-// The island universe's total order over events: (when, origin queue,
-// origin counter). Computable by the scheduling context alone — no global
-// counter — which is what lets islands execute concurrently and still agree
-// on one global dispatch order. Keys of distinct events are distinct
-// because an origin never reuses a counter value.
-struct DigestKey {
-  Time when = 0.0;
-  std::uint32_t origin = 0;
-  std::uint64_t ctr = 0;
-
-  bool operator<(const DigestKey& other) const {
-    if (when != other.when) return when < other.when;
-    if (origin != other.origin) return origin < other.origin;
-    return ctr < other.ctr;
-  }
-};
-
-// Island-mode EventId packing: queue:14 | slot+1:22 | gen:28.
-constexpr std::uint32_t kMaxQueues = 1u << 14;
-constexpr std::uint32_t kMaxSlots = (1u << 22) - 2;
-constexpr std::uint32_t kGenMask = (1u << 28) - 1;
-
-std::uint64_t clock_ns() {
-  // Island busy/blocked profiling measures real executor cost; it feeds the
-  // wall-only profile columns, never scheduling.
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          // lint-allow(wall-clock): executor profiling, not simulated time
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+// Calendar key for a timestamp: its bit pattern, with -0.0 folded into +0.0
+// so numerically-equal times land in the same bucket (otherwise two heap
+// entries could tie on `when` and the FIFO order across them would be
+// unspecified). The PendingEvent still carries `when` verbatim — the digest
+// sees exactly the bits that were scheduled.
+std::uint64_t bucket_key(Time when) {
+  if (when == 0.0) when = 0.0;  // normalize -0.0
+  return time_bits(when);
 }
-
-// Window-mode dispatch sink: while an island executes a parallel window its
-// dispatch keys are appended here instead of being folded into the (shared)
-// digest; the coordinator merges the per-island logs in key order at the
-// barrier. Thread-local so dispatch() needs no branch on who is running it.
-// lint-allow(mutable-global): per-thread dispatch sink, single-owner
-thread_local std::vector<DigestKey>* t_window_log = nullptr;
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// IslandEngine: the conservative parallel executor.
-//
-// One instance per island-mode Simulation, created lazily at the first run.
-// It owns the worker pool, the per-queue cross-island inboxes, and the
-// window/barrier loop. Queue state is only ever touched by (a) the
-// coordinator between barriers or (b) the single worker executing that
-// queue's island inside a window — the barrier's mutex/condvar pair provides
-// the happens-before edges, so the calendars themselves need no locks.
-//
-// Synchronization model (conservative, LBTS-style realized as global
-// windows): let T be the minimum pending key time over all islands and L the
-// plan lookahead (minimum cross-island link latency). Every cross-island
-// message sent by an event at time t arrives at t + latency >= T + L, so all
-// events with key < (T + L, 0, 0) are safe to execute without hearing from
-// any other island — that window is executed in parallel, then a barrier
-// exchanges the buffered cross messages (the role null messages play in
-// distributed conservative schemes). Control-queue events cap the window
-// because they may touch any island's state.
-// ---------------------------------------------------------------------------
-struct IslandEngine {
-  explicit IslandEngine(Simulation& s) : sim(s) {}
-  ~IslandEngine() { shutdown(); }
-
-  IslandEngine(const IslandEngine&) = delete;
-  IslandEngine& operator=(const IslandEngine&) = delete;
-
-  Simulation& sim;
-
-  // --- cross-island inboxes -----------------------------------------------
-  struct CrossEntry {
-    Time when = 0.0;
-    std::uint32_t origin = 0;
-    std::uint64_t ctr = 0;
-    std::function<void()> fn;
-  };
-  struct Inbox {
-    std::mutex mu;
-    std::vector<CrossEntry> entries;
-  };
-  // unique_ptr so growing the vector (hosts added at a barrier) never moves
-  // a mutex out from under a sender.
-  std::vector<std::unique_ptr<Inbox>> inboxes;
-  // True only while the windowed executor is between its initial and final
-  // barriers: senders inside windows must go through the inbox; everything
-  // else (strict mode, setup code, control context between runs) schedules
-  // directly into the target calendar.
-  std::atomic<bool> use_inbox{false};
-  // Recycled integration batch — the arena for cross-island handoff:
-  // capacity survives across windows, so steady-state integration allocates
-  // nothing beyond what the message closures themselves pin.
-  std::vector<CrossEntry> batch_arena;
-
-  // --- plan-derived layout ------------------------------------------------
-  std::vector<std::vector<std::uint32_t>> members;  // island -> queue ids
-  std::vector<std::uint32_t> island_of;             // queue -> island id
-  std::vector<std::uint32_t> work_islands;          // non-control, non-empty
-  Time lookahead = kInfTime;
-
-  std::vector<Simulation::IslandStat> stats;
-  std::vector<std::vector<DigestKey>> logs;       // per-island window logs
-  std::vector<std::uint64_t> window_busy;         // per-island, this window
-
-  // --- worker pool / barrier ----------------------------------------------
-  std::vector<std::thread> workers;
-  std::mutex mu;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  std::uint64_t job_seq = 0;
-  std::size_t completed = 0;  // islands executed this window
-  std::size_t work_size = 0;  // |work_islands| of the current window
-  bool quit = false;
-  // Claim word: window generation (high 32, = job_seq) | next work index
-  // (low 32). Claims CAS the low half and are only valid while the high
-  // half still matches the generation the claimant adopted under `mu` — a
-  // straggler whose claim loop outlives its window can therefore never
-  // claim (or even index work_islands for) a window it did not enter
-  // through the mutex handshake, which is what makes the coordinator's
-  // between-window calendar/plan mutations safe to run unlocked.
-  std::atomic<std::uint64_t> claim_state{0};
-
-  DigestKey bound{};     // current window bound (exclusive)
-  DigestKey last_key{};  // last committed key (merge monotonicity check)
-  bool profiling = false;
-
-  // -------------------------------------------------------------------------
-
-  void sync_plan() {
-    const IslandPlan& plan = sim.plan_;
-    const std::size_t queues = sim.queues_.size();
-    if (plan.island_of_queue.size() != queues || plan.island_count == 0 ||
-        plan.island_of_queue[0] != 0) {
-      throw std::logic_error("island plan does not match the queue layout");
-    }
-    lookahead = plan.lookahead;
-    std::uint32_t count = plan.island_count;
-    // No positive lookahead => no safe window exists between islands:
-    // collapse every host queue into one island (serial but correct).
-    const bool collapse = !(lookahead > 0.0) && queues > 1;
-    island_of.assign(queues, 0);
-    if (collapse) {
-      count = 2;
-      for (std::size_t q = 1; q < queues; ++q) {
-        island_of[q] = 1;
-      }
-    } else {
-      for (std::size_t q = 1; q < queues; ++q) {
-        const std::uint32_t island = plan.island_of_queue[q];
-        if (island == 0 || island >= count) {
-          throw std::logic_error("island plan: bad island id for host queue");
-        }
-        island_of[q] = island;
-      }
-    }
-    members.assign(count, {});
-    for (std::size_t q = 0; q < queues; ++q) {
-      members[island_of[q]].push_back(static_cast<std::uint32_t>(q));
-    }
-    work_islands.clear();
-    for (std::uint32_t i = 1; i < count; ++i) {
-      if (!members[i].empty()) work_islands.push_back(i);
-    }
-    // A single work island can never receive a mid-window message from a
-    // peer, so it may run unbounded by lookahead.
-    if (work_islands.size() <= 1) lookahead = kInfTime;
-    if (stats.size() < count) stats.resize(count);
-    if (logs.size() < count) logs.resize(count);
-    if (window_busy.size() < count) window_busy.resize(count, 0);
-    while (inboxes.size() < queues) {
-      inboxes.push_back(std::make_unique<Inbox>());
-    }
-  }
-
-  // Peek the next key of one queue; false if the queue is empty.
-  bool peek_key(Simulation::QueueState& q, DigestKey* out) {
-    sim.drop_stale_front(q);
-    if (q.heap.empty()) return false;
-    const Simulation::Bucket& b = q.buckets[q.heap.front().bucket];
-    const Simulation::PendingEvent& e = b.items[b.next];
-    *out = DigestKey{e.when, q.slots[e.slot].origin, e.seq};
-    return true;
-  }
-
-  // Coordinator-only: drain every inbox into its target calendar. Serial on
-  // purpose — cross traffic is the rare path by design (that is what makes
-  // islands worth having), and serial integration keeps determinism
-  // trivial. Runs only at barriers, so no worker touches a calendar
-  // concurrently.
-  void integrate_all() {
-    for (std::size_t qid = 1; qid < inboxes.size(); ++qid) {
-      Inbox& ib = *inboxes[qid];
-      {
-        std::lock_guard<std::mutex> lk(ib.mu);
-        if (ib.entries.empty()) continue;
-        batch_arena.clear();
-        std::swap(batch_arena, ib.entries);
-        // The (cleared) previous arena becomes the inbox buffer, so both
-        // sides keep their capacity.
-      }
-      // Arrival order from racing senders is nondeterministic; the sorted
-      // bucket insert in schedule_keyed makes the calendar order depend on
-      // the key alone, but sort anyway so even transient structures (bucket
-      // creation order, slot assignment) are run-to-run stable.
-      std::sort(batch_arena.begin(), batch_arena.end(),
-                [](const CrossEntry& a, const CrossEntry& b) {
-                  return DigestKey{a.when, a.origin, a.ctr} <
-                         DigestKey{b.when, b.origin, b.ctr};
-                });
-      for (CrossEntry& e : batch_arena) {
-        sim.schedule_keyed(static_cast<std::uint32_t>(qid), e.when, e.origin,
-                           e.ctr, std::move(e.fn), 0);
-      }
-      stats[island_of[qid]].inbox_messages += batch_arena.size();
-      batch_arena.clear();
-    }
-  }
-
-  // Stats parity for the direct (strict/setup) cross-schedule path, so the
-  // per-island inbox totals are identical whichever executor ran.
-  void count_cross(std::uint32_t queue) {
-    if (queue < island_of.size()) ++stats[island_of[queue]].inbox_messages;
-  }
-
-  // --- the execute barrier -------------------------------------------------
-
-  void start_workers(std::size_t desired) {
-    while (workers.size() < desired) {
-      workers.emplace_back([this] { worker_main(); });
-    }
-  }
-
-  void worker_main() {
-    std::uint64_t seen = 0;
-    std::size_t size = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        cv_work.wait(lk, [&] { return quit || job_seq != seen; });
-        if (quit) return;
-        // Always adopt the *current* window — whichever notify woke us —
-        // so the mutex acquire here orders every calendar/plan write the
-        // coordinator made before publishing this generation.
-        seen = job_seq;
-        size = work_size;
-      }
-      claim_and_execute(seen, size);
-    }
-  }
-
-  void claim_and_execute(std::uint64_t gen, std::size_t size) {
-    const std::uint64_t want = gen << 32;
-    for (;;) {
-      std::uint64_t state = claim_state.load(std::memory_order_acquire);
-      std::size_t k;
-      for (;;) {
-        if ((state & ~std::uint64_t{0xffffffff}) != want) return;  // stale
-        k = static_cast<std::size_t>(state & 0xffffffff);
-        if (k >= size) return;  // window fully claimed
-        if (claim_state.compare_exchange_weak(state, state + 1,
-                                              std::memory_order_acq_rel)) {
-          break;
-        }
-      }
-      const std::uint32_t island = work_islands[k];
-      const std::uint64_t t0 = profiling ? clock_ns() : 0;
-      execute_island(island);
-      if (profiling) {
-        const std::uint64_t spent = clock_ns() - t0;
-        stats[island].busy_ns += spent;
-        window_busy[island] = spent;
-      }
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (++completed == size) cv_done.notify_all();
-      }
-    }
-  }
-
-  // Execute every event of `island` whose key is strictly below `bound`.
-  // Exclusively owns the island's member queues for the duration.
-  void execute_island(std::uint32_t island) {
-    t_window_log = &logs[island];
-    bool any = false;
-    for (;;) {
-      std::uint32_t best_q = 0;
-      DigestKey best{};
-      bool found = false;
-      bool halted = false;
-      for (const std::uint32_t qid : members[island]) {
-        Simulation::QueueState& q = sim.queues_[qid];
-        if (q.halted) {
-          halted = true;
-          break;
-        }
-        DigestKey k;
-        if (!peek_key(q, &k)) continue;
-        if (!found || k < best) {
-          found = true;
-          best = k;
-          best_q = qid;
-        }
-      }
-      if (halted || !found || !(best < bound)) break;
-      Simulation::QueueState& q = sim.queues_[best_q];
-      const Simulation::PendingEvent ev = sim.take_front_event(q);
-      sim.dispatch(best_q, ev);
-      any = true;
-    }
-    t_window_log = nullptr;
-    if (any) ++stats[island].epochs;
-  }
-
-  // Fan the current window out to the workers (the coordinator
-  // participates) and wait for all islands to finish. With one thread — or
-  // one island — everything runs inline on the caller, no pool involved.
-  void run_execute_phase() {
-    if (work_islands.empty()) return;
-    const std::uint64_t t0 = profiling ? clock_ns() : 0;
-    const bool parallel = sim.island_threads_ > 1 && work_islands.size() > 1;
-    if (!parallel) {
-      // Inline execution stays off the claim word entirely: this path has
-      // no end-of-window barrier, so nothing here may invite a worker in.
-      for (const std::uint32_t island : work_islands) {
-        const std::uint64_t s0 = profiling ? clock_ns() : 0;
-        execute_island(island);
-        if (profiling) {
-          const std::uint64_t spent = clock_ns() - s0;
-          stats[island].busy_ns += spent;
-          window_busy[island] = spent;
-        }
-      }
-    } else {
-      start_workers(std::min<std::size_t>(sim.island_threads_ - 1,
-                                          work_islands.size() - 1));
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        completed = 0;
-        ++job_seq;
-        work_size = work_islands.size();
-        claim_state.store(job_seq << 32, std::memory_order_release);
-      }
-      cv_work.notify_all();
-      claim_and_execute(job_seq, work_islands.size());
-      std::unique_lock<std::mutex> lk(mu);
-      cv_done.wait(lk, [&] { return completed == work_islands.size(); });
-    }
-    if (profiling) {
-      const std::uint64_t wall = clock_ns() - t0;
-      for (const std::uint32_t island : work_islands) {
-        // Whatever part of the window the island did not spend executing,
-        // it spent blocked on the barrier (or waiting for a worker slot) —
-        // that is the lookahead-starvation signal the report surfaces.
-        stats[island].blocked_ns += wall - std::min(wall, window_busy[island]);
-        window_busy[island] = 0;
-      }
-    }
-  }
-
-  // Fold one committed dispatch key into the digest, enforcing that the
-  // committed stream never moves backward in time. A time regression means
-  // an island executed past its lookahead (a smaller-time event surfaced
-  // after a larger one committed) — the run would not be reproducible — so
-  // it is a hard error, not a diagnostic.
-  //
-  // Equal-time key inversions, by contrast, are legitimate: a delivery
-  // handler that posts follow-up work at `now` creates a child with the
-  // same `when` but its own (origin, ctr) — which may sort below the
-  // parent's key even though it causally (and deterministically) executes
-  // after it. Both executors commit the greedy min-front order over the
-  // per-queue pop sequences, which is identical for every worker count, so
-  // same-time runs need no intra-key ordering check. Cross-island causality
-  // always advances time (positive link latency), so a genuine lookahead
-  // violation still manifests as the time regression checked here.
-  void commit_key(const DigestKey& key) {
-    if (key.when < last_key.when) {
-      throw std::logic_error(
-          "island kernel: committed dispatch time moved backward "
-          "(an island executed past its lookahead)");
-    }
-    last_key = key;
-    sim.fold_digest(key.when, key.origin, key.ctr);
-  }
-
-  // Merge the per-island window logs in key order into the digest. Each log
-  // is already key-ascending (islands execute in key order), so this is a
-  // K-way merge over at most |work_islands| heads.
-  void merge_logs() {
-    std::size_t total = 0;
-    for (const std::uint32_t island : work_islands) {
-      total += logs[island].size();
-    }
-    if (total == 0) return;
-    std::vector<std::size_t> head(logs.size(), 0);
-    for (std::size_t done = 0; done < total; ++done) {
-      std::uint32_t pick = 0;
-      const DigestKey* pick_key = nullptr;
-      for (const std::uint32_t island : work_islands) {
-        const std::vector<DigestKey>& log = logs[island];
-        if (head[island] >= log.size()) continue;
-        const DigestKey& k = log[head[island]];
-        if (pick_key == nullptr || k < *pick_key) {
-          pick_key = &k;
-          pick = island;
-        }
-      }
-      commit_key(*pick_key);
-      ++head[pick];
-    }
-    sim.dispatched_ += total;
-    for (const std::uint32_t island : work_islands) {
-      logs[island].clear();
-    }
-  }
-
-  // --- the two island executors -------------------------------------------
-
-  // Parallel windowed executor (no global observer armed). The calling
-  // thread is the coordinator: it integrates inboxes, dispatches control
-  // events at barriers, computes window bounds, and participates in
-  // execution.
-  void run_windows(Time until, bool bounded) {
-    Simulation& s = sim;
-    profiling = s.profiler().enabled();
-    last_key = DigestKey{-kInfTime, 0, 0};
-    const Time until_edge =
-        bounded ? std::nextafter(until, kInfTime) : kInfTime;
-    use_inbox.store(true, std::memory_order_release);
-    for (;;) {
-      integrate_all();
-      if (s.planned_version_ != s.topology_version_) {
-        s.refresh_plan();
-        sync_plan();
-      }
-      DigestKey ctl, isl;
-      const bool have_ctl = peek_key(s.queues_[0], &ctl);
-      bool have_isl = false;
-      for (const std::uint32_t island : work_islands) {
-        for (const std::uint32_t qid : members[island]) {
-          DigestKey k;
-          if (!peek_key(s.queues_[qid], &k)) continue;
-          if (!have_isl || k < isl) {
-            have_isl = true;
-            isl = k;
-          }
-        }
-      }
-      if (!have_ctl && !have_isl) break;
-      const DigestKey& first =
-          !have_isl || (have_ctl && ctl < isl) ? ctl : isl;
-      if (bounded && first.when > until) break;
-      if (have_ctl && (!have_isl || ctl < isl)) {
-        // Control turn: the world is at a barrier and the control event may
-        // touch anything — it is its own one-event window.
-        const Simulation::PendingEvent ev = s.take_front_event(s.queues_[0]);
-        commit_key(ctl);
-        ++s.dispatched_;
-        s.dispatch(0, ev);
-        if (s.stopped_.load(std::memory_order_relaxed)) break;
-        continue;
-      }
-      // Island window [isl.when, bound): safe because every cross-island
-      // message sent inside it arrives no earlier than isl.when + lookahead,
-      // and pending control events cap the bound.
-      DigestKey b{isl.when + lookahead, 0, 0};
-      if (have_ctl && ctl < b) b = ctl;
-      if (DigestKey{until_edge, 0, 0} < b) b = DigestKey{until_edge, 0, 0};
-      bound = b;
-      ++stats[0].epochs;  // the control row doubles as the window count
-      run_execute_phase();
-      merge_logs();
-      if (s.stopped_.load(std::memory_order_relaxed)) break;
-    }
-    integrate_all();  // drain stragglers so pending() stays accurate
-    use_inbox.store(false, std::memory_order_release);
-  }
-
-  // Strict serialized executor: exact global key order on the calling
-  // thread. Used whenever a global observer (Tracer, InvariantAuditor) is
-  // armed — the observer then sees the one true stream, byte-identical for
-  // every worker count by construction. Window bookkeeping is kept only so
-  // stop() semantics match the parallel executor (a stopped island skips
-  // ahead; everyone ends at the window edge).
-  void run_strict(Time until, bool bounded) {
-    Simulation& s = sim;
-    profiling = false;
-    last_key = DigestKey{-kInfTime, 0, 0};
-    const Time until_edge =
-        bounded ? std::nextafter(until, kInfTime) : kInfTime;
-    use_inbox.store(false, std::memory_order_release);
-    DigestKey wbound{-kInfTime, 0, 0};
-    for (;;) {
-      if (s.planned_version_ != s.topology_version_) {
-        s.refresh_plan();
-        sync_plan();
-      }
-      DigestKey ctl, best;
-      const bool have_ctl = peek_key(s.queues_[0], &ctl);
-      bool found = have_ctl;
-      std::uint32_t best_q = 0;
-      if (have_ctl) best = ctl;
-      for (const std::uint32_t island : work_islands) {
-        bool halted = false;
-        for (const std::uint32_t qid : members[island]) {
-          if (s.queues_[qid].halted) halted = true;
-        }
-        if (halted) continue;  // stopped island: idle until the window edge
-        for (const std::uint32_t qid : members[island]) {
-          DigestKey k;
-          if (!peek_key(s.queues_[qid], &k)) continue;
-          if (!found || k < best) {
-            found = true;
-            best = k;
-            best_q = qid;
-          }
-        }
-      }
-      if (!found) break;
-      if (bounded && best.when > until) break;
-      if (!(best < wbound)) {
-        // Window edge: a stop anywhere ends the run here, exactly like the
-        // parallel executor ending after the current window.
-        if (s.stopped_.load(std::memory_order_relaxed)) break;
-        if (best_q == 0) {
-          const Simulation::PendingEvent ev =
-              s.take_front_event(s.queues_[0]);
-          commit_key(best);
-          ++s.dispatched_;
-          s.dispatch(0, ev);
-          wbound = DigestKey{-kInfTime, 0, 0};  // barrier: re-open windows
-          continue;
-        }
-        wbound = DigestKey{best.when + lookahead, 0, 0};
-        if (have_ctl && ctl < wbound) wbound = ctl;
-        if (DigestKey{until_edge, 0, 0} < wbound) {
-          wbound = DigestKey{until_edge, 0, 0};
-        }
-      }
-      Simulation::QueueState& q = s.queues_[best_q];
-      const Simulation::PendingEvent ev = s.take_front_event(q);
-      commit_key(best);
-      ++s.dispatched_;
-      s.dispatch(best_q, ev);
-    }
-  }
-
-  void shutdown() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      quit = true;
-    }
-    cv_work.notify_all();
-    for (std::thread& t : workers) t.join();
-    workers.clear();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Simulation
-// ---------------------------------------------------------------------------
-
-Simulation::Simulation(std::uint64_t seed) : rng_(seed) {
-  queues_.resize(1);  // queue 0: the legacy global / island control queue
-}
+Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
 
 Simulation::~Simulation() = default;
-
-Simulation::TlsContext& Simulation::tls_context() {
-  // Each worker only ever reads the context it installed via ScopedQueue.
-  // lint-allow(mutable-global): per-thread scheduling-context cursor
-  thread_local TlsContext tls;
-  return tls;
-}
 
 void Simulation::attach_auditor(InvariantAuditor* auditor,
                                 std::uint64_t period) {
@@ -634,106 +57,26 @@ void Simulation::attach_auditor(InvariantAuditor* auditor,
   audit_period_ = period > 0 ? period : 1;
 }
 
-void Simulation::set_controller(ScheduleController* controller) {
-  if (controller != nullptr && island_mode_) {
-    throw std::logic_error(
-        "set_controller: a schedule controller requires the legacy kernel "
-        "(disable CONDORG_PARALLEL / use World::set_parallel_override)");
-  }
-  controller_ = controller;
-}
-
-void Simulation::configure_islands(unsigned threads) {
-  if (island_mode_) {  // re-configuration only adjusts the thread budget
-    island_threads_ = threads == 0 ? 1 : threads;
-    return;
-  }
-  if (dispatched_ != 0 || pending() != 0 || queues_[0].ctr != 0) {
-    throw std::logic_error(
-        "configure_islands: the kernel has already scheduled events in the "
-        "legacy universe; island mode must be selected up front");
-  }
-  if (controller_ != nullptr) {
-    throw std::logic_error(
-        "configure_islands: incompatible with a schedule controller");
-  }
-  island_mode_ = true;
-  island_threads_ = threads == 0 ? 1 : threads;
-}
-
-std::uint32_t Simulation::register_queue() {
-  if (!island_mode_) return 0;
-  if (queues_.size() >= kMaxQueues) {
-    throw std::length_error("register_queue: too many island queues");
-  }
-  const std::uint32_t queue = static_cast<std::uint32_t>(queues_.size());
-  queues_.emplace_back();
-  // A host created mid-run joins at the control clock (host creation is a
-  // control-context action, so this is the committed global time).
-  queues_.back().local_now = queues_[0].local_now;
-  notify_topology_changed();
-  return queue;
-}
-
-void Simulation::set_island_plan_hook(std::function<IslandPlan()> hook) {
-  plan_hook_ = std::move(hook);
-  notify_topology_changed();
-}
-
-void Simulation::refresh_plan() {
-  if (planned_version_ == topology_version_) return;
-  if (plan_hook_) {
-    plan_ = plan_hook_();
-  } else {
-    // No topology knowledge: every host queue nominally its own island but
-    // with zero lookahead, which the engine collapses to one serial island.
-    // Correct for bare-Simulation use; sim::World always installs a hook.
-    plan_.island_of_queue.assign(queues_.size(), 0);
-    for (std::size_t q = 1; q < queues_.size(); ++q) {
-      plan_.island_of_queue[q] = static_cast<std::uint32_t>(q);
-    }
-    plan_.island_count = static_cast<std::uint32_t>(queues_.size());
-    plan_.lookahead = 0.0;
-  }
-  planned_version_ = topology_version_;
-}
-
-std::size_t Simulation::pending() const {
-  std::size_t total = 0;
-  for (const QueueState& q : queues_) total += q.live;
-  return total;
-}
-
-std::vector<Simulation::IslandStat> Simulation::island_stats() const {
-  if (!island_mode_ || engine_ == nullptr) return {};
-  std::vector<IslandStat> out = engine_->stats;
-  for (std::size_t qid = 0;
-       qid < queues_.size() && qid < engine_->island_of.size(); ++qid) {
-    out[engine_->island_of[qid]].events += queues_[qid].events;
-  }
-  return out;
-}
-
 // 4-ary min-heap on `when`, hand-sifted with a hole instead of
 // std::push_heap/pop_heap swaps: half the depth of a binary heap and one
 // move per level. It only orders *distinct* timestamps (one bucket each), so
 // ties are impossible and any correct heap yields the same dispatch stream.
-void Simulation::heap_push(QueueState& q, BucketRef node) {
-  std::size_t i = q.heap.size();
-  q.heap.push_back(node);
+void Simulation::heap_push(BucketRef node) {
+  std::size_t i = heap_.size();
+  heap_.push_back(node);
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
-    if (!q.heap[parent].after(node)) break;
-    q.heap[i] = q.heap[parent];
+    if (!heap_[parent].after(node)) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  q.heap[i] = node;
+  heap_[i] = node;
 }
 
-void Simulation::heap_pop_front(QueueState& q) {
-  const BucketRef last = q.heap.back();
-  q.heap.pop_back();
-  const std::size_t n = q.heap.size();
+void Simulation::heap_pop_front() {
+  const BucketRef last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
   if (n > 0) {
     std::size_t i = 0;
     for (;;) {
@@ -742,268 +85,112 @@ void Simulation::heap_pop_front(QueueState& q) {
       std::size_t best = first_child;
       const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
       for (std::size_t c = first_child + 1; c < end; ++c) {
-        if (q.heap[best].after(q.heap[c])) best = c;
+        if (heap_[best].after(heap_[c])) best = c;
       }
-      if (!last.after(q.heap[best])) break;
-      q.heap[i] = q.heap[best];
+      if (!last.after(heap_[best])) break;
+      heap_[i] = heap_[best];
       i = best;
     }
-    q.heap[i] = last;
+    heap_[i] = last;
   }
 }
 
-void Simulation::drop_stale_front(QueueState& q) {
-  while (!q.heap.empty()) {
-    Bucket& b = q.buckets[q.heap.front().bucket];
+void Simulation::drop_stale_front() {
+  while (!heap_.empty()) {
+    Bucket& b = buckets_[heap_.front().bucket];
     const std::size_t size = b.items.size();
     std::size_t next = b.next;
-    while (next < size &&
-           q.slots[b.items[next].slot].gen != b.items[next].gen) {
+    while (next < size && slots_[b.items[next].slot].gen != b.items[next].gen) {
       ++next;
     }
     // Every entry skipped here is a drained cancellation tombstone (the
     // only way an entry at the cursor goes stale): settle the account.
-    q.tombstones -= next - b.next;
+    tombstones_ -= next - b.next;
     b.next = next;
     if (next < size) return;  // front bucket has a live event at its cursor
     // Fully drained: retire the bucket (keeping its capacity for reuse).
-    q.bucket_of.erase(b.key);
+    bucket_of_.erase(b.key);
     b.items.clear();
     b.next = 0;
-    q.free_buckets.push_back(q.heap.front().bucket);
-    heap_pop_front(q);
+    free_buckets_.push_back(heap_.front().bucket);
+    heap_pop_front();
   }
 }
 
-EventId Simulation::make_id(std::uint32_t queue, std::uint32_t slot,
-                            std::uint32_t gen) const {
-  if (!island_mode_) {
-    return (static_cast<EventId>(slot) + 1) << 32 | gen;
-  }
-  return (static_cast<EventId>(queue) << 50) |
-         ((static_cast<EventId>(slot) + 1) << 28) |
-         static_cast<EventId>(gen & kGenMask);
-}
-
-Simulation::EventRecord* Simulation::record_for(EventId id,
-                                                std::uint32_t* queue_out) {
-  if (!island_mode_) {
-    const std::uint64_t hi = id >> 32;
-    QueueState& q = queues_[0];
-    if (hi == 0 || hi > q.slots.size()) return nullptr;
-    EventRecord& rec = q.slots[static_cast<std::size_t>(hi - 1)];
-    if (rec.gen != static_cast<std::uint32_t>(id) || !rec.fn) return nullptr;
-    *queue_out = 0;
-    return &rec;
-  }
-  const std::uint32_t queue = static_cast<std::uint32_t>(id >> 50);
-  const std::uint64_t slot_p1 = (id >> 28) & ((1ull << 22) - 1);
-  const std::uint32_t gen = static_cast<std::uint32_t>(id & kGenMask);
-  if (queue >= queues_.size()) return nullptr;
-  QueueState& q = queues_[queue];
-  if (slot_p1 == 0 || slot_p1 > q.slots.size()) return nullptr;
-  EventRecord& rec = q.slots[static_cast<std::size_t>(slot_p1 - 1)];
-  if ((rec.gen & kGenMask) != gen || !rec.fn) return nullptr;
-  *queue_out = queue;
+Simulation::EventRecord* Simulation::record_for(EventId id) {
+  const std::uint64_t hi = id >> 32;
+  if (hi == 0 || hi > slots_.size()) return nullptr;
+  EventRecord& rec = slots_[static_cast<std::size_t>(hi - 1)];
+  if (rec.gen != static_cast<std::uint32_t>(id) || !rec.fn) return nullptr;
   return &rec;
 }
 
 EventId Simulation::schedule_at(Time when, std::function<void()> fn) {
-  return schedule_on_queue(context_queue(), when, std::move(fn));
-}
-
-EventId Simulation::schedule_on_queue(std::uint32_t queue, Time when,
-                                      std::function<void()> fn) {
   if (!fn) throw std::invalid_argument("schedule_at: null callback");
-  const std::uint32_t origin = context_queue();
-  QueueState& oq = queues_[origin];
-  if (when < oq.local_now) when = oq.local_now;  // no scheduling into the past
-  return schedule_keyed(queue, when, origin, ++oq.ctr, std::move(fn),
-                        tracer_.enabled() ? tracer_.context() : 0);
-}
-
-void Simulation::schedule_cross(std::uint32_t queue, Time when,
-                                std::function<void()> fn) {
-  if (!fn) throw std::invalid_argument("schedule_cross: null callback");
-  const std::uint32_t origin = context_queue();
-  QueueState& oq = queues_[origin];
-  if (when < oq.local_now) when = oq.local_now;
-  const std::uint64_t ctr = ++oq.ctr;
-  if (island_mode_ && engine_ != nullptr &&
-      engine_->use_inbox.load(std::memory_order_acquire) &&
-      // Queues younger than the engine's plan (host added at this barrier)
-      // are not executed by any worker until the plan resyncs, so the
-      // direct insert below is race-free for them.
-      queue < engine_->island_of.size() && origin < engine_->island_of.size() &&
-      engine_->island_of[queue] != engine_->island_of[origin]) {
-    // Mid-window, genuinely cross-island: hand the delivery to the target
-    // island's inbox; it is integrated at a barrier. The key travels with
-    // it, so calendar order is independent of which barrier integrates it.
-    // (Same-island sends fall through to the direct insert below — the
-    // calling worker owns both calendars, and a low-latency local message
-    // must stay executable inside the current window to keep the committed
-    // stream key-ascending.)
-    IslandEngine::Inbox& ib = *engine_->inboxes[queue];
-    std::lock_guard<std::mutex> lk(ib.mu);
-    ib.entries.push_back(
-        IslandEngine::CrossEntry{when, origin, ctr, std::move(fn)});
-    return;
-  }
-  // Quiescent (setup code, control context, strict executor) or
-  // same-island: schedule straight into the target calendar under the key.
-  schedule_keyed(queue, when, origin, ctr, std::move(fn),
-                 tracer_.enabled() ? tracer_.context() : 0);
-  if (island_mode_ && engine_ != nullptr &&
-      queue < engine_->island_of.size() &&
-      origin < engine_->island_of.size() &&
-      engine_->island_of[queue] != engine_->island_of[origin]) {
-    engine_->count_cross(queue);  // stats parity with the inbox path
-  }
-}
-
-EventId Simulation::schedule_keyed(std::uint32_t queue, Time when,
-                                   std::uint32_t origin, std::uint64_t ctr,
-                                   std::function<void()> fn, RecordId cause) {
-  QueueState& q = queues_[queue];
-  if (when < q.local_now) when = q.local_now;
+  if (when < now_) when = now_;  // no scheduling into the past
   std::uint32_t slot;
-  if (q.free_slots.empty()) {
-    slot = static_cast<std::uint32_t>(q.slots.size());
-    if (island_mode_ && slot >= kMaxSlots) {
-      throw std::length_error("schedule: too many live events on one queue");
-    }
-    q.slots.emplace_back();
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   } else {
-    slot = q.free_slots.back();
-    q.free_slots.pop_back();
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  EventRecord& rec = q.slots[slot];
+  EventRecord& rec = slots_[slot];
   rec.fn = std::move(fn);
-  rec.cause = cause;
-  rec.origin = origin;
+  rec.cause = tracer_.enabled() ? tracer_.context() : 0;
   const std::uint32_t gen = rec.gen;
 
   const std::uint64_t key = bucket_key(when);
-  const auto [it, inserted] = q.bucket_of.try_emplace(key, 0);
+  const auto [it, inserted] = bucket_of_.try_emplace(key, 0);
   std::uint32_t bi;
   if (inserted) {
-    if (q.free_buckets.empty()) {
-      bi = static_cast<std::uint32_t>(q.buckets.size());
-      q.buckets.emplace_back();
+    if (free_buckets_.empty()) {
+      bi = static_cast<std::uint32_t>(buckets_.size());
+      buckets_.emplace_back();
     } else {
-      bi = q.free_buckets.back();
-      q.free_buckets.pop_back();
+      bi = free_buckets_.back();
+      free_buckets_.pop_back();
     }
-    q.buckets[bi].key = key;
+    buckets_[bi].key = key;
     it->second = bi;
-    heap_push(q, BucketRef{when, bi});
+    heap_push(BucketRef{when, bi});
   } else {
     bi = it->second;
   }
-  Bucket& b = q.buckets[bi];
-  const PendingEvent entry{when, ctr, slot, gen};
-  if (!island_mode_) {
-    // Legacy: origin is constant and ctr is the global seq, so appends are
-    // already in key order — exactly the pre-island kernel's behavior.
-    b.items.push_back(entry);
-  } else {
-    // Island mode: keep the *unexecuted* tail of the bucket (origin, ctr)-
-    // ascending. Appends still dominate (one live comparison); an insert
-    // before the tail happens when a barrier-integrated delivery from a
-    // higher-origin queue already sits at this timestamp. Positions before
-    // the drain cursor are untouchable — stopping the slide there also
-    // places a same-time self-post (a handler posting follow-up work at
-    // `now`) after the already-executed event that caused it, which is the
-    // causal order both executors commit.
-    std::size_t pos = b.items.size();
-    while (pos > b.next) {
-      const PendingEvent& prev = b.items[pos - 1];
-      if (q.slots[prev.slot].gen == prev.gen) {  // live entry: compare keys
-        const std::uint32_t prev_origin = q.slots[prev.slot].origin;
-        if (prev_origin < origin ||
-            (prev_origin == origin && prev.seq < ctr)) {
-          break;
-        }
-      }
-      --pos;  // stale entries are order-neutral: slide past them
-    }
-    b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(pos), entry);
-  }
-  ++q.live;
-  return make_id(queue, slot, gen);
+  buckets_[bi].items.push_back(PendingEvent{when, ++seq_, slot, gen});
+  ++live_;
+  return (static_cast<EventId>(slot) + 1) << 32 | gen;
 }
 
 bool Simulation::cancel(EventId id) {
-  // kInvalidEvent carries no owning queue (it decodes to queue 0), so it
-  // must short-circuit before the island police below — daemons routinely
-  // cancel never-armed timer handles (e.g. a Startd whose io_interval is
-  // disabled).
-  if (id == kInvalidEvent) return false;
-  if (island_mode_) {
-    // Police before record_for: the owning queue is encoded in the id, and
-    // even *reading* another island's slot array mid-window is a race. A
-    // cancel reaching across islands would race with the target's dispatch
-    // — it is exactly the cross-host state access the partition contract
-    // forbids, so fail loudly.
-    const std::uint32_t owner = static_cast<std::uint32_t>(id >> 50);
-    const std::uint32_t context = context_queue();
-    if (context != owner && context != 0) {
-      throw std::logic_error(
-          "cancel: event belongs to another island's queue");
-    }
-  }
-  std::uint32_t queue = 0;
-  EventRecord* rec = record_for(id, &queue);
+  EventRecord* rec = record_for(id);
   if (rec == nullptr) return false;
-  QueueState& q = queues_[queue];
   rec->fn = nullptr;
   ++rec->gen;  // invalidates the pending entry and any outstanding id copy
-  q.free_slots.push_back(static_cast<std::uint32_t>(rec - q.slots.data()));
-  --q.live;
-  ++q.tombstones;  // buried entry; settled when the lazy deletion drains it
+  free_slots_.push_back(static_cast<std::uint32_t>(rec - slots_.data()));
+  --live_;
+  ++tombstones_;  // buried entry; settled when the lazy deletion drains it
   return true;
 }
 
-void Simulation::fold_digest(Time when, std::uint32_t origin,
-                             std::uint64_t ctr) {
-  const std::uint64_t bits = time_bits(when);
-  if (island_mode_) {
-    trace_digest_ = fnv1a_mix(
-        fnv1a_mix(fnv1a_mix(trace_digest_, bits), origin), ctr);
-  } else {
-    trace_digest_ = fnv1a_mix(fnv1a_mix(trace_digest_, bits), ctr);
-  }
-}
-
-void Simulation::dispatch(std::uint32_t queue, const PendingEvent& ev) {
-  QueueState& q = queues_[queue];
-  EventRecord& rec = q.slots[ev.slot];
+void Simulation::dispatch(const PendingEvent& ev) {
+  EventRecord& rec = slots_[ev.slot];
   // Move the handler out and retire the slot before invoking: the callback
   // may schedule (reusing this slot under a fresh generation) or cancel
   // other events.
   std::function<void()> fn = std::move(rec.fn);
   const RecordId cause = rec.cause;
-  const std::uint32_t origin = rec.origin;
   rec.fn = nullptr;
   rec.cause = 0;
-  rec.origin = 0;
   ++rec.gen;
-  q.free_slots.push_back(ev.slot);
-  --q.live;
-  q.local_now = ev.when;
-  ++q.events;
+  free_slots_.push_back(ev.slot);
+  --live_;
+  now_ = ev.when;
   CONDORG_LOG_TRACE(kernel_logger(), "dispatch t=", ev.when, " seq=", ev.seq);
-  if (t_window_log != nullptr) {
-    // Parallel window: the coordinator folds the merged stream in key order
-    // at the barrier.
-    t_window_log->push_back(DigestKey{ev.when, origin, ev.seq});
-  } else if (!island_mode_) {
-    ++dispatched_;
-    fold_digest(ev.when, origin, ev.seq);
-  }
-  // else: island strict/control dispatch — the engine committed the key
-  // (monotonicity-checked) before calling us.
-  ScopedQueue context(this, queue);
+  ++dispatched_;
+  trace_digest_ =
+      fnv1a_mix(fnv1a_mix(trace_digest_, time_bits(ev.when)), ev.seq);
   if (tracer_.enabled()) {
     // Re-install the causal cursor captured when this event was scheduled:
     // records emitted by the callback chain off the record that caused it.
@@ -1015,29 +202,29 @@ void Simulation::dispatch(std::uint32_t queue, const PendingEvent& ev) {
   // Audit after the callback returns: between events every daemon's state is
   // quiescent, so cross-daemon invariants are meaningful.
   if (auditor_ != nullptr && dispatched_ % audit_period_ == 0) {
-    auditor_->run(q.local_now);
+    auditor_->run(now_);
   }
 }
 
-Simulation::PendingEvent Simulation::take_front_event(QueueState& q) {
-  Bucket& b = q.buckets[q.heap.front().bucket];
+Simulation::PendingEvent Simulation::take_front_event() {
+  Bucket& b = buckets_[heap_.front().bucket];
   if (controller_ == nullptr) return b.items[b.next++];
   // Exploration mode: let the controller pick among the bucket's live
   // entries. drop_stale_front() guarantees the cursor entry is live, so
   // there is always at least one candidate.
-  q.pick_candidates.clear();
+  pick_candidates_.clear();
   const std::size_t size = b.items.size();
   for (std::size_t i = b.next; i < size; ++i) {
     const PendingEvent& e = b.items[i];
-    if (q.slots[e.slot].gen == e.gen) q.pick_candidates.push_back(i);
+    if (slots_[e.slot].gen == e.gen) pick_candidates_.push_back(i);
   }
   std::size_t pick = 0;
-  if (q.pick_candidates.size() > 1) {
-    pick = controller_->pick_event(q.heap.front().when,
-                                   q.pick_candidates.size()) %
-           q.pick_candidates.size();
+  if (pick_candidates_.size() > 1) {
+    pick = controller_->pick_event(heap_.front().when,
+                                   pick_candidates_.size()) %
+           pick_candidates_.size();
   }
-  const std::size_t index = q.pick_candidates[pick];
+  const std::size_t index = pick_candidates_[pick];
   const PendingEvent ev = b.items[index];
   if (index == b.next) {
     ++b.next;
@@ -1049,98 +236,29 @@ Simulation::PendingEvent Simulation::take_front_event(QueueState& q) {
   return ev;
 }
 
-void Simulation::run_legacy(Time until, bool bounded) {
-  stopped_.store(false, std::memory_order_relaxed);
-  QueueState& q = queues_[0];
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    drop_stale_front(q);
-    if (q.heap.empty()) break;
-    if (bounded && q.heap.front().when > until) break;
+void Simulation::run_loop(Time until, bool bounded) {
+  stopped_ = false;
+  while (!stopped_) {
+    drop_stale_front();
+    if (heap_.empty()) break;
+    if (bounded && heap_.front().when > until) break;
     // Copy the entry out before dispatch: the callback may append to this
     // bucket (vector reallocation) or grow the bucket slab.
-    const PendingEvent ev = take_front_event(q);
-    dispatch(0, ev);
+    const PendingEvent ev = take_front_event();
+    dispatch(ev);
   }
   if (bounded) {
-    if (!stopped_.load(std::memory_order_relaxed) && q.local_now < until) {
-      q.local_now = until;
-    }
+    if (!stopped_ && now_ < until) now_ = until;
     // Drop cancelled stragglers at the front so pending() stays meaningful.
-    drop_stale_front(q);
+    drop_stale_front();
   }
 }
 
-void Simulation::run_islands(Time until, bool bounded) {
-  if (controller_ != nullptr) {
-    throw std::logic_error("island mode cannot run under a controller");
-  }
-  if (engine_ == nullptr) engine_ = std::make_unique<IslandEngine>(*this);
-  refresh_plan();
-  engine_->sync_plan();
-  for (QueueState& q : queues_) q.halted = false;
-  stopped_.store(false, std::memory_order_relaxed);
-  // A global observer (Tracer / auditor) must see the one true stream from
-  // one thread; otherwise run the parallel windowed executor — including
-  // for N=1, so every thread count runs the same algorithm.
-  if (tracer_.enabled() || auditor_ != nullptr) {
-    engine_->run_strict(until, bounded);
-  } else {
-    engine_->run_windows(until, bounded);
-  }
-  if (bounded) {
-    if (!stopped_.load(std::memory_order_relaxed)) {
-      for (QueueState& q : queues_) {
-        if (q.local_now < until) q.local_now = until;
-      }
-    }
-    for (QueueState& q : queues_) drop_stale_front(q);
-  }
-  if (profiler_.enabled()) {
-    // Quiescent epilogue: export the per-island execution summary so
-    // condorg_report --profile can show where the parallel run spent its
-    // time (events vs barrier waits).
-    std::vector<Profiler::IslandRow> rows;
-    for (const IslandStat& st : island_stats()) {
-      Profiler::IslandRow row;
-      row.events = st.events;
-      row.inbox_messages = st.inbox_messages;
-      row.epochs = st.epochs;
-      row.blocked_ns = st.blocked_ns;
-      row.busy_ns = st.busy_ns;
-      rows.push_back(row);
-    }
-    profiler_.set_island_rows(std::move(rows));
-  }
-}
-
-void Simulation::run() {
-  if (island_mode_) {
-    run_islands(kInfTime, false);
-  } else {
-    run_legacy(kInfTime, false);
-  }
-}
+void Simulation::run() { run_loop(kInfTime, false); }
 
 bool Simulation::run_until(Time until) {
-  if (island_mode_) {
-    run_islands(until, true);
-  } else {
-    run_legacy(until, true);
-  }
-  return pending() != 0;
-}
-
-void Simulation::stop() {
-  stopped_.store(true, std::memory_order_relaxed);
-  if (island_mode_) {
-    const TlsContext& tls = tls_context();
-    if (tls.sim == this && tls.queue != 0) {
-      // Halt the calling island immediately; the other islands finish the
-      // window (the committed window content is what keeps the digest
-      // independent of the worker count).
-      queues_[tls.queue].halted = true;
-    }
-  }
+  run_loop(until, true);
+  return live_ != 0;
 }
 
 }  // namespace condorg::sim

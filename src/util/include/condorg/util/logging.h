@@ -2,10 +2,9 @@
 //
 // The simulator injects a clock callback so log lines carry *simulated* time.
 // Components log through a named Logger; a global level gate keeps the hot
-// path cheap (a single atomic load when logging is off).
+// path cheap (a single load when logging is off).
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -38,12 +37,8 @@ std::string_view to_string(LogLevel level);
 /// Process-wide logging configuration.
 class LogConfig {
  public:
-  static LogLevel level() {
-    return static_cast<LogLevel>(level_.load(std::memory_order_relaxed));
-  }
-  static void set_level(LogLevel level) {
-    level_.store(static_cast<int>(level), std::memory_order_relaxed);
-  }
+  static LogLevel level() { return level_; }
+  static void set_level(LogLevel level) { level_ = level; }
 
   /// Clock used to stamp log lines (simulated seconds). Defaults to nullptr
   /// (lines stamped "-").
@@ -55,8 +50,8 @@ class LogConfig {
   static void emit(std::string_view line);
 
  private:
-  // lint-allow(mutable-global): atomic log-level config, island-safe
-  static std::atomic<int> level_;
+  // lint-allow(mutable-global): process-wide log-level config
+  static LogLevel level_;
 };
 
 /// Named logger handle; cheap to copy.

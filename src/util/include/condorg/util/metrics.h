@@ -13,11 +13,9 @@
 // byte-identical across executions.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -48,20 +46,14 @@ struct ParsedMetricKey {
 /// bare name.
 ParsedMetricKey parse_metric_key(std::string_view key);
 
-/// Monotonically increasing event count. Relaxed atomic: counters shared
-/// across hosts (network totals, agent aggregates) may be bumped from
-/// concurrent island workers; the final sum is interleaving-independent.
+/// Monotonically increasing event count.
 class Counter {
  public:
-  void inc(std::uint64_t by = 1) {
-    value_.fetch_add(by, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t by = 1) { value_ += by; }
+  std::uint64_t value() const { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// Piecewise-constant value over simulated time (queue depth, CPUs busy).
@@ -158,18 +150,11 @@ class MetricsRegistry {
  private:
   /// Resolve the key a labelled series lands under: its own canonical key
   /// while the family is under the cap, the family's `other` bucket after.
-  /// Caller holds mu_. `kind` disambiguates counter/gauge/histogram
-  /// families that share a name.
+  /// `kind` disambiguates counter/gauge/histogram families that share a
+  /// name.
   std::string capped_key(char kind, std::string_view name,
                          const MetricLabels& labels, bool exists);
 
-  // Guards the map *structure* only: lookup-or-create can race when two
-  // islands first touch distinct metrics. The returned references are
-  // node-stable, so cached references stay valid. Gauge and histogram
-  // *objects* are not internally synchronized — they must stay host-local
-  // (per-host labels), which is exactly the state discipline DetSan and the
-  // partition analyzer enforce; cross-host tallies belong in Counters.
-  mutable std::mutex mu_;
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, HistogramMetric, std::less<>> histograms_;

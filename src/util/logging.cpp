@@ -2,17 +2,14 @@
 
 #include <cmath>
 #include <cstdio>
-#include <mutex>
 #include <utility>
 
 namespace condorg::util {
 namespace {
 
-// lint-allow(mutable-global): the guard itself
-std::mutex g_mutex;
-// lint-allow(mutable-global): guarded by g_mutex
+// lint-allow(mutable-global): process-wide log clock, set by the harness
 std::function<double()> g_clock;
-// lint-allow(mutable-global): guarded by g_mutex
+// lint-allow(mutable-global): process-wide log sink, set by the harness
 std::function<void(std::string_view)> g_sink;
 
 void default_sink(std::string_view line) {
@@ -22,7 +19,7 @@ void default_sink(std::string_view line) {
 
 }  // namespace
 
-std::atomic<int> LogConfig::level_{static_cast<int>(LogLevel::kWarn)};
+LogLevel LogConfig::level_ = LogLevel::kWarn;
 
 std::string_view to_string(LogLevel level) {
   switch (level) {
@@ -37,28 +34,18 @@ std::string_view to_string(LogLevel level) {
 }
 
 void LogConfig::set_clock(std::function<double()> clock) {
-  const std::lock_guard<std::mutex> lock(g_mutex);
   g_clock = std::move(clock);
 }
 
-double LogConfig::now_or_nan() {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  return g_clock ? g_clock() : std::nan("");
-}
+double LogConfig::now_or_nan() { return g_clock ? g_clock() : std::nan(""); }
 
 void LogConfig::set_sink(std::function<void(std::string_view)> sink) {
-  const std::lock_guard<std::mutex> lock(g_mutex);
   g_sink = std::move(sink);
 }
 
 void LogConfig::emit(std::string_view line) {
-  std::function<void(std::string_view)> sink;
-  {
-    const std::lock_guard<std::mutex> lock(g_mutex);
-    sink = g_sink;
-  }
-  if (sink) {
-    sink(line);
+  if (g_sink) {
+    g_sink(line);
   } else {
     default_sink(line);
   }

@@ -116,42 +116,35 @@ std::string MetricsRegistry::capped_key(char kind, std::string_view name,
 
 Counter& MetricsRegistry::counter(std::string_view name,
                                   const MetricLabels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
   const bool exists = counters_.count(metric_key(name, labels)) > 0;
   return counters_[capped_key('c', name, labels, exists)];
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name,
                               const MetricLabels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
   const bool exists = gauges_.count(metric_key(name, labels)) > 0;
   return gauges_[capped_key('g', name, labels, exists)];
 }
 
 HistogramMetric& MetricsRegistry::histogram(std::string_view name,
                                             const MetricLabels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
   const bool exists = histograms_.count(metric_key(name, labels)) > 0;
   return histograms_[capped_key('h', name, labels, exists)];
 }
 
 void MetricsRegistry::set_label_cardinality_cap(std::size_t cap) {
-  std::lock_guard<std::mutex> lock(mu_);
   label_cap_ = cap;
 }
 
 std::size_t MetricsRegistry::label_cardinality_cap() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return label_cap_;
 }
 
 std::uint64_t MetricsRegistry::cardinality_overflows() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return cardinality_overflows_;
 }
 
 std::vector<std::string> MetricsRegistry::cardinality_violations() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
   if (label_cap_ == 0) return out;
   // Recount from the maps themselves rather than trusting family_series_:
@@ -185,20 +178,17 @@ std::vector<std::string> MetricsRegistry::cardinality_violations() const {
 }
 
 const Counter* MetricsRegistry::find_counter(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(key);
   return it == counters_.end() ? nullptr : &it->second;
 }
 
 const Gauge* MetricsRegistry::find_gauge(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = gauges_.find(key);
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
 const HistogramMetric* MetricsRegistry::find_histogram(
     std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = histograms_.find(key);
   return it == histograms_.end() ? nullptr : &it->second;
 }
@@ -211,7 +201,6 @@ std::uint64_t MetricsRegistry::counter_value(std::string_view key) const {
 void MetricsRegistry::for_each_counter(
     std::string_view prefix,
     const std::function<void(std::string_view, std::uint64_t)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto it = counters_.lower_bound(prefix); it != counters_.end(); ++it) {
     if (!std::string_view(it->first).starts_with(prefix)) break;
     fn(it->first, it->second.value());
@@ -219,7 +208,6 @@ void MetricsRegistry::for_each_counter(
 }
 
 JsonValue MetricsRegistry::snapshot(double end_time) const {
-  std::lock_guard<std::mutex> lock(mu_);
   JsonValue root = JsonValue::object();
   root["end_time"] = end_time;
 

@@ -86,10 +86,13 @@ TEST(LocalScheduler, CompletionHandlersFire) {
   cs::Simulation sim;
   cb::FifoScheduler pbs(sim, "pbs", 1, false);
   std::vector<cb::JobState> states;
-  pbs.add_completion_handler(
-      [&](const cb::JobRecord& r) { states.push_back(r.state); });
-  pbs.submit(job("a", 10.0));
+  const auto record_state = [&](const cb::JobRecord& r) {
+    states.push_back(r.state);
+  };
+  const auto completed = pbs.submit(job("a", 10.0));
   const auto cancelled = pbs.submit(job("b", 10.0));
+  pbs.add_job_handler(completed, record_state);
+  pbs.add_job_handler(cancelled, record_state);
   pbs.cancel(cancelled);
   sim.run();
   ASSERT_EQ(states.size(), 2u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <string>
 
 #include "condorg/classad/classad.h"
@@ -162,6 +163,25 @@ struct LogicCase {
 
 class ThreeValuedLogic : public ::testing::TestWithParam<LogicCase> {};
 
+// Stable test names: the case index plus the expression with every run of
+// non-alphanumeric characters folded to one '_' ("3_false_1_0_1"). Without
+// a generator gtest prints the struct's bytes — string-literal addresses,
+// which move from build to build.
+std::string LogicCaseName(const ::testing::TestParamInfo<LogicCase>& info) {
+  std::string name = std::to_string(info.index);
+  bool pending_sep = true;
+  for (const char* c = info.param.expr; *c != '\0'; ++c) {
+    if (std::isalnum(static_cast<unsigned char>(*c)) == 0) {
+      pending_sep = true;
+      continue;
+    }
+    if (pending_sep) name += '_';
+    pending_sep = false;
+    name += *c;
+  }
+  return name;
+}
+
 TEST_P(ThreeValuedLogic, Evaluates) {
   const auto& param = GetParam();
   const ca::Value v = ev(param.expr);
@@ -203,7 +223,8 @@ INSTANTIATE_TEST_SUITE_P(
         // NOT is strict.
         LogicCase{"!undefined", "undefined"},
         LogicCase{"!error", "error"},
-        LogicCase{"!true", "false"}));
+        LogicCase{"!true", "false"}),
+    LogicCaseName);
 
 INSTANTIATE_TEST_SUITE_P(
     UndefinedPropagation, ThreeValuedLogic,
@@ -221,7 +242,8 @@ INSTANTIATE_TEST_SUITE_P(
         LogicCase{"3 =?= 3.0", "false"},   // structural: int != real
         LogicCase{"\"A\" =?= \"a\"", "false"},  // structural: case matters
         LogicCase{"\"A\" == \"a\"", "true"},
-        LogicCase{"error =?= error", "true"}));
+        LogicCase{"error =?= error", "true"}),
+    LogicCaseName);
 
 // ---------- ads & attribute resolution ----------
 

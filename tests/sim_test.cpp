@@ -179,6 +179,39 @@ TEST(Simulation, ManyCancelRescheduleCyclesStayConsistent) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+// Cancel-heavy regression: the calendar's lazy deletion must keep both
+// books exact — pending() counts only live events, and every cancelled
+// entry is a tombstone until the drain passes it, then it is settled.
+TEST(Simulation, TombstonesStayExactUnderCancelStorm) {
+  cs::World world;
+  cs::Host& a = world.add_host("a.example.org");
+  cs::Host& b = world.add_host("b.example.org");
+  cs::Simulation& s = world.sim();
+
+  std::vector<cs::EventId> cancellable;
+  int fired_a = 0, fired_b = 0;
+  for (int i = 0; i < 200; ++i) {
+    cancellable.push_back(a.post(1.0 + 0.01 * i, [&fired_a] { ++fired_a; }));
+    b.post(1.0 + 0.01 * i, [&fired_b] { ++fired_b; });
+  }
+  int cancelled = 0;
+  for (std::size_t i = 0; i < cancellable.size(); i += 2) {
+    if (s.cancel(cancellable[i])) ++cancelled;
+  }
+  EXPECT_EQ(cancelled, 100);
+  EXPECT_EQ(s.tombstones(), 100u);
+  EXPECT_EQ(s.pending(), 300u);
+  // A second cancel of the same id is a no-op for both books.
+  EXPECT_FALSE(s.cancel(cancellable[0]));
+  EXPECT_EQ(s.tombstones(), 100u);
+
+  s.run_until(10.0);
+  EXPECT_EQ(fired_a, 100);
+  EXPECT_EQ(fired_b, 200);
+  EXPECT_EQ(s.tombstones(), 0u);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
 // ---------- Trace digest (determinism self-check) ----------
 
 TEST(Simulation, TraceDigestIsReproducible) {

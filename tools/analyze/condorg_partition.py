@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Partition-safety analyzer: prove the kernel is island-parallel-ready.
+"""Partition-safety analyzer: prove no host touches another host's state.
 
-The island kernel shards the calendar queue into conservatively-
-synchronized islands, one per host group (ROADMAP item 1 covers its
-future; host-local state outlives it as a §4.2 crash property). That is only
-legal if daemon state is host-local and every cross-host interaction goes
-through a message boundary (sim::Network / sim::Rpc) that an island
-scheduler can turn into a cross-island event. This tool is the static half
-of that proof (the dynamic half is DetSan, src/sim/include/condorg/sim/det.h):
+The paper's failure model (§4.2) assumes a crashed host loses exactly what
+it held in memory. The simulation honours that only if daemon state is
+host-local and every cross-host interaction goes through a message
+boundary (sim::Network / sim::Rpc) that a crash or partition can cut.
+This tool is the static half of that proof (the dynamic half is DetSan,
+src/sim/include/condorg/sim/det.h):
 
-  1. Inventory mutable global/static state in src/ — anything a second
-     island worker could race on (rule: mutable-global).
+  1. Inventory mutable global/static state in src/ — anything two hosts
+     could share behind the network's back (rule: mutable-global).
   2. Build the state-ownership map from CONDORG_HOST_LOCAL() class
      annotations and det::HostLocal<> field wrappers.
   3. Flag container/optional state members of annotated daemon classes
@@ -24,7 +23,7 @@ of that proof (the dynamic half is DetSan, src/sim/include/condorg/sim/det.h):
      ambient-RNG, and unordered-iteration-into-trace escapes fail this
      gate too (one rule engine: tools/lint/condorg_lint.py is imported,
      not reimplemented).
-  6. Emit partition_report.json: the island-cut graph of legal cross-host
+  6. Emit partition_report.json: the cross-host cut graph of legal cross-host
      edges (protocol -> from/to partition, with the message types and
      client/server call sites discovered in the tree as evidence). The
      report fails the run if any of GRAM/GASS/MDS/GSI has no discovered
@@ -68,7 +67,7 @@ def _load_lint():
 lint = _load_lint()
 
 # ---------------------------------------------------------------------------
-# The island-cut model: every legal cross-host interaction in the paper's
+# The cross-host cut model: every legal cross-host interaction in the paper's
 # deployment, keyed by the message-type prefix each protocol module uses.
 # The scan below must find real client call sites and server dispatch sites
 # for every entry — the table is the claim, the tree is the evidence.
@@ -116,7 +115,7 @@ MESSAGE_LITERAL = re.compile(r'"([a-z_]+)\.([a-z_.]+)"')
 CLIENT_SITE = re.compile(r"(?:\.|->)(?:call|notify)\s*\(|rpc_notify\s*\(")
 SERVER_SITE = re.compile(r"message\.type\s*==|\.type\s*==")
 # A line that is a declared message boundary: endpoint naming or kernel
-# messaging API. Calls THROUGH these are the legal island cut.
+# messaging API. Calls THROUGH these are the legal cross-host cut.
 BOUNDARY = re.compile(r"sim::Address|sim::Network|sim::Rpc|rpc_reply|"
                       r"\.notify\s*\(|\.call\s*\(|register_service")
 
@@ -240,8 +239,8 @@ def scan_file(analysis, path, allows):
                 })
                 report(idx, "mutable-global",
                        "mutable static/global state is shared across "
-                       "islands; move it into a host-owned object or "
-                       "lint-allow with the synchronization story")
+                       "hosts; move it into a host-owned object or "
+                       "lint-allow with the reason it is safe")
 
         # --- rules: cross-partition-ref / cross-partition-call --------
         if home is not None:
@@ -284,7 +283,7 @@ def scan_file(analysis, path, allows):
 
 
 def scan_edges(analysis):
-    """Pass 3: harvest the island-cut evidence — message-type literals at
+    """Pass 3: harvest the cross-host cut evidence — message-type literals at
     client call sites and server dispatch sites, grouped by protocol."""
     for name, spec in PROTOCOLS.items():
         analysis.edges[name] = {
@@ -353,7 +352,7 @@ def build_report(analysis, diagnostics):
 
 def check_coverage(analysis):
     """The required protocols must each have discovered messages AND both
-    a client and a server site: an island cut with no evidence fails."""
+    a client and a server site: a cross-host cut with no evidence fails."""
     problems = []
     for name in REQUIRED_PROTOCOLS:
         edge = analysis.edges[name]
@@ -542,7 +541,7 @@ def main():
             print(v)
 
     for problem in coverage_problems:
-        print(f"condorg_partition: island-cut coverage: {problem}",
+        print(f"condorg_partition: cross-host cut coverage: {problem}",
               file=sys.stderr)
     if analysis.violations or coverage_problems:
         if not args.json:

@@ -9,7 +9,7 @@ and partition — yet the protocol is encoded as stringly-typed
 missing handler arm, a request path that forgets to reply, or a timer that
 fails to re-arm compiles clean and surfaces only as a timeout the RPC layer
 politely retries around. This tool is the third side of the triangle started
-by the partition analyzer (static island cut) and the kernel profiler
+by the partition analyzer (static cross-host cut) and the kernel profiler
 (dynamic traffic matrix): a machine-readable spec the code is checked
 against, with condorg_profile_check closing the loop
 (spec == static extraction >= dynamic matrix).
@@ -837,7 +837,7 @@ def run(root, spec_path, allowlist_path, build_dir, report_path,
     n_msgs = len(spec["messages"])
     n_cut = len(report["cut_types"])
     print(f"condorg_proto: clean — {n_msgs} spec messages ({n_cut} on the "
-          f"island cut), {len(analysis.crash_sites)} crash-point sites, "
+          f"cross-host cut), {len(analysis.crash_sites)} crash-point sites, "
           f"{len(spec['timers'])} timers checked")
     return 0
 

@@ -7,8 +7,8 @@
 
 namespace condorg::core {
 
-// SEEDED VIOLATION (mutable-global): file-scope mutable state an island
-// worker could race on.
+// SEEDED VIOLATION (mutable-global): file-scope mutable state two hosts
+// could share behind the network's back.
 static int g_retry_count = 0;
 
 void FixtureSchedd::poke(gram::FixtureGatekeeper& gatekeeper) {

@@ -6,7 +6,7 @@
 namespace condorg::gass {
 
 void refresh(FixtureCleanCache& cache, sim::RpcClient& rpc) {
-  // Legal island cut: a message to the user-partition GASS server.
+  // Legal cross-host cut: a message to the user-partition GASS server.
   rpc.call(sim::Address{"submit.example.org", "file.get"}, "file.get");
   (void)cache;
 }

@@ -133,53 +133,6 @@ def compare_attribution(baseline: dict[str, float],
     return regressions
 
 
-def check_island_scale(root: pathlib.Path,
-                       floor: float = 3.0) -> int:
-    """Gate the island-kernel scaling report (BENCH_K1.json) in `root`.
-
-    Unlike the diff gates this checks absolute properties of the current
-    tree: every island-mode run must carry the identical trace digest
-    (determinism is never hardware-dependent), and when the producing
-    machine had >= 8 hardware threads (speedup_floor_enforced) the 8-way
-    run must have reached the speedup floor. Returns the failure count; a
-    tree without an island_scale section passes vacuously.
-    """
-    failures = 0
-    for path in sorted(root.glob("BENCH_*.json")):
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        scale = doc.get("island_scale")
-        if not isinstance(scale, dict):
-            continue
-        digests = {run.get("digest") for run in scale.get("runs", [])
-                   if isinstance(run, dict) and run.get("threads", -1) >= 1}
-        identical = scale.get("digests_identical")
-        if identical is not True or len(digests) > 1:
-            print(f"  FAILED    {path.name}:island_scale digests diverge "
-                  f"across thread counts: {sorted(map(str, digests))}")
-            failures += 1
-        else:
-            print(f"  ok        {path.name}:island_scale digest stable "
-                  f"across {len(scale.get('runs', []))} runs")
-        if scale.get("speedup_floor_enforced"):
-            speedup = scale.get("speedup_8way", 0.0)
-            wanted = scale.get("speedup_floor", floor)
-            if not isinstance(speedup, (int, float)) or speedup < wanted:
-                print(f"  FAILED    {path.name}:island_scale 8-way speedup "
-                      f"{speedup} below floor {wanted}")
-                failures += 1
-            else:
-                print(f"  ok        {path.name}:island_scale 8-way speedup "
-                      f"{speedup:.2f}x (floor {wanted}x)")
-        else:
-            print(f"  skipped   {path.name}:island_scale speedup floor "
-                  f"(hardware_concurrency "
-                  f"{scale.get('hardware_concurrency')} < 8)")
-    return failures
-
-
 def check_multiuser(root: pathlib.Path) -> int:
     """Gate the multi-user storm report (BENCH_U1.json) in `root`.
 
@@ -188,10 +141,10 @@ def check_multiuser(root: pathlib.Path) -> int:
     delta negotiator must stay >= speedup_floor times faster per cycle
     than the retained full-requery reference, fairness (Jain's index over
     per-user matched jobs) must hold the floor, the campaign must drain,
-    the anti-entropy sweep must record zero divergences, and the
-    jitter-free outcome digest must be identical across the legacy and
-    island kernels. Returns the failure count; a tree without a multiuser
-    section passes vacuously.
+    the anti-entropy sweep must record zero divergences, and the two
+    same-seed digest runs must agree (digests_identical, one outcome
+    digest). Returns the failure count; a tree without a multiuser section
+    passes vacuously.
     """
     failures = 0
     for path in sorted(root.glob("BENCH_*.json")):
@@ -234,11 +187,11 @@ def check_multiuser(root: pathlib.Path) -> int:
                     if isinstance(run, dict)}
         if storm.get("digests_identical") is not True or len(outcomes) > 1:
             print(f"  FAILED    {path.name}:multiuser outcome digests "
-                  f"diverge across kernels: {sorted(map(str, outcomes))}")
+                  f"diverge across runs: {sorted(map(str, outcomes))}")
             failures += 1
         else:
             print(f"  ok        {path.name}:multiuser outcome digest stable "
-                  f"across {len(storm.get('digest_runs', []))} kernel runs")
+                  f"across {len(storm.get('digest_runs', []))} runs")
     return failures
 
 
@@ -296,26 +249,11 @@ def self_test() -> int:
                                       "gram-submit-rtt": rtt_p99}}}
         (root / "BENCH_A.json").write_text(json.dumps(doc))
 
-    def make_scale_tree(root: pathlib.Path, digests: list[str],
-                        enforced: bool, speedup: float) -> None:
-        doc = {"bench": "K", "benchmarks": [
-            {"name": "BM_IslandScale/N1", "real_time_ns": 100.0,
-             "cpu_time_ns": 100.0, "iterations": 1}],
-            "island_scale": {
-                "hardware_concurrency": 8 if enforced else 1,
-                "digests_identical": len(set(digests)) == 1,
-                "speedup_8way": speedup,
-                "speedup_floor": 3.0,
-                "speedup_floor_enforced": enforced,
-                "runs": [{"threads": n, "digest": d, "wall_ns": 100.0}
-                         for n, d in zip((1, 2, 4, 8), digests)]}}
-        (root / "BENCH_K.json").write_text(json.dumps(doc))
-
     def make_multiuser_tree(root: pathlib.Path, speedup: float, jain: float,
                             drained: bool = True, divergences: int = 0,
-                            outcomes: tuple[str, ...] = ("0x1",) * 3) -> None:
+                            outcomes: tuple[str, ...] = ("0x1",) * 2) -> None:
         doc = {"bench": "U", "benchmarks": [
-            {"name": "BM_MultiUserStorm/legacy", "real_time_ns": 100.0,
+            {"name": "BM_MultiUserStorm", "real_time_ns": 100.0,
              "cpu_time_ns": 100.0, "iterations": 1}],
             "multiuser": {
                 "delta_speedup": speedup, "speedup_floor": 5.0,
@@ -325,7 +263,7 @@ def self_test() -> int:
                 "digests_identical": len(set(outcomes)) == 1,
                 "digest_runs": [
                     {"mode": m, "outcome_digest": d, "kernel_digest": d}
-                    for m, d in zip(("legacy", "N1", "N8"), outcomes)]}}
+                    for m, d in zip(("run1", "run2"), outcomes)]}}
         (root / "BENCH_U.json").write_text(json.dumps(doc))
 
     failures = []
@@ -335,31 +273,9 @@ def self_test() -> int:
         base_dir.mkdir()
         cur_dir.mkdir()
 
-        # Island-scale gate: identical digests + met floor pass; diverging
-        # digests fail even when the floor is unenforced; an enforced floor
-        # catches a 2x-only 8-way run; a 1-core machine skips the floor but
-        # still checks digests.
-        scale_dir = pathlib.Path(tmp) / "scale"
-        scale_dir.mkdir()
-        same = ["0xabc"] * 4
-        make_scale_tree(scale_dir, same, enforced=True, speedup=3.4)
-        if check_island_scale(scale_dir) != 0:
-            failures.append("healthy island_scale tree must pass")
-        make_scale_tree(scale_dir, ["0xabc", "0xabc", "0xdef", "0xabc"],
-                        enforced=False, speedup=0.9)
-        if check_island_scale(scale_dir) != 1:
-            failures.append("diverging digests must fail the scale gate")
-        make_scale_tree(scale_dir, same, enforced=True, speedup=2.0)
-        if check_island_scale(scale_dir) != 1:
-            failures.append("enforced floor must catch a 2.0x 8-way run")
-        make_scale_tree(scale_dir, same, enforced=False, speedup=0.8)
-        if check_island_scale(scale_dir) != 0:
-            failures.append("unenforced floor must not fail on speedup")
-        (scale_dir / "BENCH_K.json").unlink()
-
         # Multi-user gate: a healthy report passes; a sub-floor speedup, a
         # sub-floor Jain index, an undrained campaign, a sweep divergence,
-        # and a cross-kernel outcome mismatch each fail exactly once.
+        # and a same-seed outcome mismatch each fail exactly once.
         storm_dir = pathlib.Path(tmp) / "storm"
         storm_dir.mkdir()
         make_multiuser_tree(storm_dir, speedup=8.0, jain=0.95)
@@ -378,9 +294,9 @@ def self_test() -> int:
         if check_multiuser(storm_dir) != 1:
             failures.append("sweep divergences must fail")
         make_multiuser_tree(storm_dir, speedup=8.0, jain=0.95,
-                            outcomes=("0x1", "0x1", "0x2"))
+                            outcomes=("0x1", "0x2"))
         if check_multiuser(storm_dir) != 1:
-            failures.append("cross-kernel outcome divergence must fail")
+            failures.append("same-seed outcome divergence must fail")
         (storm_dir / "BENCH_U.json").unlink()
         make_tree(base_dir, {"steady": 100.0, "faster": 100.0,
                              "slower": 100.0, "gone": 100.0})
@@ -486,7 +402,6 @@ def main() -> int:
                                        load_attribution(
                                            pathlib.Path(args.current)),
                                        args.threshold)
-    regressions += check_island_scale(pathlib.Path(args.current))
     regressions += check_multiuser(pathlib.Path(args.current))
     if regressions:
         print(f"{regressions} benchmark(s) regressed more than "

@@ -1,4 +1,4 @@
-// Dynamic/static cross-check of the island-cut message classification.
+// Dynamic/static cross-check of the cross-host cut message classification.
 //
 // PR 6's analyzer (tools/analyze/condorg_partition.py) classifies the
 // GRAM/GASS/MDS/GSI message types that cross the user/site/central
@@ -25,7 +25,7 @@
 //
 //     spec == static extraction ⊇ dynamic matrix
 //
-// so a message type cannot enter the island cut without a spec entry, and
+// so a message type cannot enter the cross-host cut without a spec entry, and
 // a spec entry cannot outlive the code that sends it.
 //
 // Usage: condorg_profile_check <partition_report.json>

@@ -462,44 +462,6 @@ int print_critical_path(const std::string& path, bool flame) {
   return rc;
 }
 
-/// Per-island execution summary of a parallel (CONDORG_PARALLEL) run:
-/// events dispatched, inbox (cross-island) messages integrated, window
-/// epochs, and — when the profile was exported with wall columns — the
-/// nanoseconds each worker spent busy vs blocked at the window barrier.
-/// Island 0 is the control island (timers, harness events).
-void print_island_summary(const JsonValue& profile) {
-  const JsonValue* islands = profile.find("islands");
-  if (islands == nullptr || !islands->is_array() ||
-      islands->items().empty()) {
-    return;  // legacy-kernel profile: nothing to summarize
-  }
-  const bool has_wall =
-      islands->items().front().find("blocked_ns") != nullptr;
-  std::vector<std::string> columns = {"island", "events", "inbox messages",
-                                      "epochs"};
-  if (has_wall) {
-    columns.push_back("busy ms");
-    columns.push_back("blocked ms");
-  }
-  Table table(columns);
-  std::size_t index = 0;
-  for (const JsonValue& row : islands->items()) {
-    std::vector<std::string> cells = {
-        index == 0 ? "0 (control)" : std::to_string(index),
-        format_number(row.number_at("events")),
-        format_number(row.number_at("inbox_messages")),
-        format_number(row.number_at("epochs"))};
-    if (has_wall) {
-      cells.push_back(format_number(row.number_at("busy_ns") / 1e6));
-      cells.push_back(format_number(row.number_at("blocked_ns") / 1e6));
-    }
-    table.add_row(std::move(cells));
-    ++index;
-  }
-  std::fputs(table.render("island execution (parallel kernel)").c_str(),
-             stdout);
-}
-
 /// --traffic-matrix: render the kernel profiler's cross-host view (written
 /// by Profiler::to_json) as from/to/type rows plus a per-type rollup.
 int print_traffic_matrix(const std::string& path) {
@@ -549,8 +511,7 @@ int print_traffic_matrix(const std::string& path) {
     rollup.add_row({type, format_number(totals.first),
                     format_number(totals.second)});
   }
-  std::fputs(rollup.render("cross-host types (island cut)").c_str(), stdout);
-  print_island_summary(*parsed);
+  std::fputs(rollup.render("cross-host types").c_str(), stdout);
   return 0;
 }
 

@@ -41,13 +41,11 @@ guarantee or the paper's exactly-once protocol:
                          direct stdio belongs to benches, examples, and the
                          report tool (which is allowlisted).
   raw-threading          std::thread / std::mutex / std::atomic (and friends)
-                         outside src/sim/ — the island kernel owns all
-                         concurrency; daemon code must stay single-threaded
-                         per island so determinism proofs stay local to the
-                         kernel. Infrastructure that is genuinely shared
-                         across island workers (the logger sink, metric
-                         counters) is allowlisted with its synchronization
-                         story.
+                         anywhere under src/ — the simulator is one
+                         sequential calendar queue on one thread, so a
+                         concurrency primitive either hides a data race or
+                         is dead weight. The allowlist for this rule is
+                         empty; keep it that way.
   unbalanced-span        a tracer begin_span whose SpanId is discarded, or is
                          assigned to a variable that no end_span(<same
                          variable>) in the file ever closes; likewise a file
@@ -125,9 +123,8 @@ LINE_RULES = [
     ),
 ]
 
-# Concurrency primitives are the island kernel's business only (src/sim/).
-# Everything else runs single-threaded within its island; a stray mutex or
-# thread elsewhere either hides a data race or silently serializes islands.
+# The simulator runs on one thread (one sequential calendar queue), so no
+# code under src/ has any use for a concurrency primitive.
 RAW_THREADING = re.compile(
     r"\bstd::(?:jthread|thread\b|mutex|recursive_mutex|timed_mutex|"
     r"shared_mutex|shared_timed_mutex|condition_variable|atomic\w*|"
@@ -136,8 +133,6 @@ RAW_THREADING = re.compile(
     r"counting_semaphore|binary_semaphore)|"
     r"#\s*include\s*<(?:thread|mutex|shared_mutex|atomic|"
     r"condition_variable|future|semaphore|latch|barrier|stop_token)>")
-# Directory prefix where RAW_THREADING is legal (the kernel itself).
-THREADING_HOME = "src/sim/"
 
 DECL_UNORDERED = re.compile(
     r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<")
@@ -301,12 +296,11 @@ def lint_file(path, rel, file_allows, root, header_cache, used_allows=None):
             if pattern.search(line):
                 report(idx, rule, message)
 
-        if not rel.replace(os.sep, "/").startswith(THREADING_HOME) \
-                and RAW_THREADING.search(line):
+        if RAW_THREADING.search(line):
             report(idx, "raw-threading",
-                   "concurrency primitive outside src/sim/ — the island "
-                   "kernel owns threading; daemon code is single-threaded "
-                   "per island")
+                   "concurrency primitive — the simulator is single-threaded "
+                   "(one sequential calendar queue); nothing in src/ may "
+                   "start or synchronize threads")
 
         m = RANGE_FOR.search(line)
         if m and m.group(1).split(".")[0].split("->")[0] in unordered_names:

@@ -75,7 +75,7 @@ void span_lifecycle(FixtureTracer& t) {
   t.end_span(paired);
 }
 
-// raw-threading: concurrency primitives outside src/sim/. One hit only —
+// raw-threading: concurrency primitives anywhere in src/. One hit only —
 // the rule must fire on the primitive, not on mentions in comments.
 struct Cache {
   std::mutex mu_;                                      // raw-threading
