@@ -24,10 +24,9 @@ python3 tools/lint/condorg_lint.py --root .
 python3 tools/lint/condorg_lint.py --root . --self-test
 stage_end
 
-stage_begin "analyze.partition (cross-host cut report + rule self-test)"
+stage_begin "analyze.partition (ownership report + rule self-test)"
 # The static half of the partition-safety story: zero violations in the
-# tree, every fixture mutation caught, and a cross-host cut report
-# covering the GRAM/GASS/MDS/GSI message boundaries.
+# tree and every fixture mutation caught.
 python3 tools/analyze/condorg_partition.py --root . --build-dir build \
   --report build/partition_report.json
 python3 tools/analyze/condorg_partition.py --self-test
@@ -39,7 +38,7 @@ stage_begin "analyze.proto (protocol-conformance report + rule self-test)"
 # handler must reply on all paths, every durable transition's crash points
 # must exist in code AND in the Explorer's enumerated table, and every
 # protocol timer must re-arm. Zero unallowlisted findings; the report is
-# archived next to the partition report for the three-way profile gate.
+# archived next to the partition report.
 python3 tools/analyze/condorg_proto.py --root . --build-dir build \
   --report build/proto_report.json
 python3 tools/analyze/condorg_proto.py --self-test
@@ -123,13 +122,11 @@ cmp "${trace_dir}/cp1.json" "${trace_dir}/cp2.json"
 cmp "${trace_dir}/cp1.folded" "${trace_dir}/cp2.folded"
 stage_end
 
-stage_begin "profile.traffic_matrix (spec == static cut ⊇ dynamic)"
-# The three-way gate: the protocol spec's cut types must equal the
-# partition analyzer's static classification, the kernel profiler's
-# measured cross-partition traffic must stay inside the spec, and the
-# dumped profile must render through the report CLI.
-./build/tools/condorg_profile_check build/partition_report.json \
-  --proto build/proto_report.json \
+stage_begin "profile.traffic_matrix (spec cut == dynamic)"
+# The kernel profiler's measured cross-partition traffic must equal the
+# protocol spec's cut entries in both directions, and the dumped profile
+# must render through the report CLI.
+./build/tools/condorg_profile_check src/proto/protocols.json \
   --dump build/profile.json
 ./build/tools/condorg_report --profile build/profile.json \
   --traffic-matrix >/dev/null

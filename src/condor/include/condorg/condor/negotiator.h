@@ -64,11 +64,13 @@ std::vector<Match> match_jobs_to_slots_reference(
     const std::vector<IdleJob>& jobs,
     const std::vector<Collector::AdPtr>& slots);
 
+/// `State == "Unclaimed"`: the constraint both negotiators use to select
+/// negotiable slot ads. Parsed once per process; the expression is
+/// immutable, so every daemon shares it.
+const classad::ExprPtr& unclaimed_slot_constraint();
+
 struct NegotiatorOptions {
   double cycle_period = 60.0;
-  /// ClassAd constraint selecting negotiable slot ads from the collector.
-  /// Compiled once at daemon construction, not re-parsed per cycle.
-  std::string slot_constraint = "State == \"Unclaimed\"";
 };
 
 class Negotiator {
@@ -102,7 +104,6 @@ class Negotiator {
   JobSource jobs_;
   MatchSink sink_;
   Options options_;
-  classad::ExprPtr slot_constraint_;  // compiled options_.slot_constraint
   // Metric handles resolved once; Counter references stay stable for the
   // registry's lifetime, so the match loop skips the name+label lookup.
   util::Counter& cycles_counter_;

@@ -42,8 +42,6 @@ namespace condorg::condor {
 
 struct PoolNegotiatorOptions {
   double cycle_period = 60.0;
-  /// Selects negotiable machine ads out of the mirror.
-  std::string slot_constraint = "State == \"Unclaimed\"";
   /// Anti-entropy: every Nth cycle re-reads the full pool, checksum-audits
   /// the mirror, and cross-checks the delta matcher against the full-scan
   /// reference. 0 disables (tests only).
@@ -79,13 +77,6 @@ class PoolNegotiator {
 
   /// Run one cycle immediately; returns matches made.
   std::size_t negotiate_once();
-
-  /// Run the retained full-requery reference path once, with no
-  /// side-effects on the pool: full Collector query plus full-scan
-  /// reference matcher over every pending job. Returns the matches it
-  /// would have made. This is the baseline the delta path is benchmarked
-  /// (and audited) against.
-  std::vector<Match> reference_matches();
 
   // --- statistics ---
   std::uint64_t cycles() const { return *cycles_; }
@@ -158,7 +149,6 @@ class PoolNegotiator {
   sim::Host& host_;
   Collector& collector_;
   Options options_;
-  classad::ExprPtr slot_constraint_;
   sim::RpcClient rpc_;
   Clock clock_;
 

@@ -485,6 +485,12 @@ std::vector<Match> match_jobs_to_slots_reference(
   return matches;
 }
 
+const classad::ExprPtr& unclaimed_slot_constraint() {
+  static const classad::ExprPtr kUnclaimed =
+      classad::parse_expr("State == \"Unclaimed\"");
+  return kUnclaimed;
+}
+
 Negotiator::Negotiator(sim::Host& host, Collector& collector, JobSource jobs,
                        MatchSink sink, Options options)
     : host_(host),
@@ -492,9 +498,6 @@ Negotiator::Negotiator(sim::Host& host, Collector& collector, JobSource jobs,
       jobs_(std::move(jobs)),
       sink_(std::move(sink)),
       options_(std::move(options)),
-      slot_constraint_(options_.slot_constraint.empty()
-                           ? nullptr
-                           : classad::parse_expr(options_.slot_constraint)),
       cycles_counter_(host_.metrics().counter("negotiator.cycles",
                                               {{"host", host_.name()}})),
       no_slot_cycles_counter_(host_.metrics().counter(
@@ -518,7 +521,7 @@ std::size_t Negotiator::negotiate_once() {
   ++*cycles_;
   cycles_counter_.inc();
   const std::vector<Collector::AdPtr> slots =
-      collector_.query(slot_constraint_);
+      collector_.query(unclaimed_slot_constraint());
   if (slots.empty()) {
     no_slot_cycles_counter_.inc();
     return 0;

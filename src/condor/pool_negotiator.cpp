@@ -4,8 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "condorg/classad/parser.h"
-
 namespace condorg::condor {
 
 PoolNegotiator::PoolNegotiator(sim::Host& host, sim::Network& network,
@@ -13,9 +11,6 @@ PoolNegotiator::PoolNegotiator(sim::Host& host, sim::Network& network,
     : host_(host),
       collector_(collector),
       options_(std::move(options)),
-      slot_constraint_(options_.slot_constraint.empty()
-                           ? nullptr
-                           : classad::parse_expr(options_.slot_constraint)),
       rpc_(host, network, kService),
       mirror_(host, "pool_negotiator.mirror"),
       holds_(host, "pool_negotiator.holds"),
@@ -76,12 +71,9 @@ bool PoolNegotiator::slot_eligible(const MirrorEntry& entry,
                                    double now) const {
   if (entry.is_job) return false;
   if (entry.hold_until > now) return false;  // claim in flight
-  if (slot_constraint_) {
-    const classad::Value v =
-        slot_constraint_->evaluate(entry.ad.get(), nullptr);
-    if (!v.is_bool() || !v.as_bool()) return false;
-  }
-  return true;
+  const classad::Value v =
+      unclaimed_slot_constraint()->evaluate(entry.ad.get(), nullptr);
+  return v.is_bool() && v.as_bool();
 }
 
 bool PoolNegotiator::job_pending(const MirrorEntry& entry, double now) const {
@@ -248,7 +240,7 @@ void PoolNegotiator::run_sweep(const std::vector<Match>& delta_matches,
   // ads, no copies), run the full-scan matcher.
   const std::uint64_t t0 = clock_ ? clock_() : 0;
   const std::vector<Collector::AdPtr> requeried =
-      collector_.query(slot_constraint_);
+      collector_.query(unclaimed_slot_constraint());
   (void)requeried;
   std::vector<IdleJob> reference_jobs;
   reference_jobs.reserve(jobs.size());
@@ -427,29 +419,6 @@ std::size_t PoolNegotiator::negotiate_once() {
     }
   }
   return matched.size();
-}
-
-std::vector<Match> PoolNegotiator::reference_matches() {
-  const double now = host_.now();
-  // The reference path re-reads the pool the way the pre-delta negotiator
-  // did every cycle; that cost is part of what the delta path is measured
-  // against.
-  const std::vector<Collector::AdPtr> requeried =
-      collector_.query(slot_constraint_);
-  (void)requeried;
-  const std::vector<Candidate> slots = eligible_slots({}, true, now);
-  const std::vector<Candidate> jobs = ordered_pending_jobs({}, true, now);
-  std::vector<IdleJob> reference_jobs;
-  reference_jobs.reserve(jobs.size());
-  for (const Candidate& job : jobs) {
-    reference_jobs.push_back(IdleJob{*job.name, job.entry->ad});
-  }
-  std::vector<Collector::AdPtr> reference_slots;
-  reference_slots.reserve(slots.size());
-  for (const Candidate& slot : slots) {
-    reference_slots.push_back(slot.entry->ad);
-  }
-  return match_jobs_to_slots_reference(reference_jobs, reference_slots);
 }
 
 void PoolNegotiator::audit(std::vector<std::string>& out) const {

@@ -96,16 +96,12 @@ void GridManager::tick() {
 
 gram::GramJobSpec GridManager::spec_for(const Job& job) {
   gram::GramJobSpec spec;
-  if (options_.reference_submit_path) {
-    spec.executable = "exe/" + std::to_string(job.id);
-  } else {
-    // Content-addressed: every job running this executable names the same
-    // store entry, and the checksum lets the site's staging cache serve
-    // repeats without a transfer (and detect changed content).
-    const Artifact& artifact = stage_artifact(job);
-    spec.executable = artifact.path;
-    spec.exe_checksum = artifact.checksum;
-  }
+  // Content-addressed: every job running this executable names the same
+  // store entry, and the checksum lets the site's staging cache serve
+  // repeats without a transfer (and detect changed content).
+  const Artifact& artifact = stage_artifact(job);
+  spec.executable = artifact.path;
+  spec.exe_checksum = artifact.checksum;
   spec.output = job.desc.output.empty()
                     ? "out/" + std::to_string(job.id) + ".out"
                     : job.desc.output;
@@ -148,19 +144,6 @@ const GridManager::Artifact& GridManager::stage_artifact(const Job& job) {
                               artifact.declared_size);
   return artifacts_->emplace(job.desc.executable, std::move(artifact))
       .first->second;
-}
-
-void GridManager::stage_executable(const Job& job) {
-  // What matters is that the executable exists on the GASS server for the
-  // JobManager to fetch (and is re-created after a submit-machine crash).
-  if (options_.reference_submit_path) {
-    // Reference path: one store entry per job, re-put on every submission.
-    gass_.store().put("exe/" + std::to_string(job.id),
-                      make_exe_content(job.desc.executable),
-                      job.desc.executable_size);
-    return;
-  }
-  stage_artifact(job);
 }
 
 std::size_t GridManager::pipeline_depth(const std::string& site) const {
@@ -211,40 +194,11 @@ void GridManager::prune_pipeline() {
 }
 
 void GridManager::drive_idle_jobs() {
-  if (options_.reference_submit_path) {
-    drive_idle_jobs_reference();
-    return;
-  }
   for (const std::uint64_t id : schedd_.idle_jobs(Universe::kGrid)) {
     if (queued_->count(id) || submitting_->count(id)) continue;
     enqueue_idle(id);
   }
   pump_all();
-}
-
-void GridManager::drive_idle_jobs_reference() {
-  std::size_t in_flight = submitting_->size();
-  if (options_.max_submitted_jobs > 0) {
-    // Retained pre-index reference path for bench_s1; the production path
-    // uses count(universe, status).
-    // lint-allow(schedd-full-scan): reference configuration by design
-    for (const auto& [id, job] : schedd_.jobs()) {
-      if (job.desc.universe == Universe::kGrid &&
-          job.status == JobStatus::kRunning) {
-        ++in_flight;
-      }
-    }
-  }
-  for (const std::uint64_t id : schedd_.idle_jobs(Universe::kGrid)) {
-    if (options_.max_submitted_jobs > 0 &&
-        in_flight >= options_.max_submitted_jobs) {
-      return;
-    }
-    if (!submitting_->count(id)) {
-      submit_job(id);
-      ++in_flight;
-    }
-  }
 }
 
 void GridManager::enqueue_idle(std::uint64_t job_id) {
@@ -320,7 +274,7 @@ void GridManager::do_pump(const std::string& site) {
       continue;  // moved on (held/removed/re-driven) while waiting
     }
     submitting_->insert(job_id);
-    stage_executable(*job);
+    stage_artifact(*job);
     begin_pipeline(job_id, site);
     submit_to(job_id, sim::Address{site, gram::kGatekeeperService});
   }
@@ -346,7 +300,7 @@ void GridManager::submit_job(std::uint64_t job_id) {
   }
 
   submitting_->insert(job_id);
-  stage_executable(*job);
+  stage_artifact(*job);
 
   if (!job->desc.grid_site.empty()) {
     submit_to(job_id, sim::Address{job->desc.grid_site,
@@ -692,7 +646,7 @@ void GridManager::recover_after_boot() {
         job.status == JobStatus::kRemoved || job.status == JobStatus::kHeld) {
       continue;
     }
-    stage_executable(job);
+    stage_artifact(job);
     if (!job.gram_contact.empty()) {
       // We had an acknowledged submission: reconnect. Tell the JobManager
       // our (possibly new) GASS address, ask the gatekeeper to restart the

@@ -69,11 +69,6 @@ struct GridManagerOptions {
   /// 0 keeps the tiny marker string of the original model. Benches raise
   /// this to make redundant staging cost real bytes.
   std::uint64_t staged_content_bytes = 0;
-  /// Retain the pre-pipeline submit path: full-queue scan per tick, per-job
-  /// "exe/<id>" staging (no content addressing, no site cache), tick-cadence
-  /// global sweep. Exists as the bench_s1 reference configuration; never
-  /// enabled in production setups.
-  bool reference_submit_path = false;
   gram::GramClientOptions gram;
 };
 
@@ -145,7 +140,6 @@ class GridManager {
 
   void tick();
   void drive_idle_jobs();
-  void drive_idle_jobs_reference();
   /// Route a newly idle job into its site's ready queue (consulting the
   /// site chooser when the job has no fixed destination).
   void enqueue_idle(std::uint64_t job_id);
@@ -162,8 +156,9 @@ class GridManager {
   /// slot (held/removed with no callback ever arriving).
   void prune_pipeline();
   void set_depth_gauge(const std::string& site, std::size_t depth);
-  /// Ensure the job's executable is staged content-addressed; memoized per
-  /// executable name.
+  /// Ensure the job's executable is staged content-addressed on the GASS
+  /// server for the JobManager to fetch; memoized per executable name (the
+  /// memo is cleared at boot, so a crash re-creates the entry).
   const Artifact& stage_artifact(const Job& job);
   std::string make_exe_content(const std::string& name) const;
   void submit_job(std::uint64_t job_id);
@@ -183,7 +178,6 @@ class GridManager {
   void handle_remote_state(std::uint64_t job_id, const std::string& state,
                            const std::string& why);
   void recover_after_boot();
-  void stage_executable(const Job& job);
   gram::GramJobSpec spec_for(const Job& job);
   sim::Address callback_address() const;
   /// Registry counter scoped to this daemon's user.

@@ -5,8 +5,8 @@
 // accepts admitted job batches from the Portal (`portal.deliver`, with a
 // persisted dedup marker so redelivery is idempotent), publishes a window
 // of the user's idle jobs as *job ads* to the central Collector, and acts
-// on `negotiator.match` notifications from the pool Negotiator by spawning
-// a Shadow against the matched slot — the same claim protocol as
+// on `negotiator.match` notifications from the pool Negotiator by claiming
+// the matched slot through a ClaimTable — the same claim protocol as
 // VanillaRunner, different matchmaking topology.
 //
 // The publish window is one job ad at a time: the central pool sees one
@@ -18,11 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 
 #include "condorg/condor/shadow.h"
+#include "condorg/core/claim_table.h"
 #include "condorg/core/schedd.h"
 #include "condorg/sim/host.h"
 #include "condorg/sim/lifetime.h"
@@ -70,7 +69,7 @@ class PoolRunner {
   std::uint64_t busy_rejections() const { return busy_rejections_; }
   std::uint64_t matches_received() const { return matches_received_; }
   std::uint64_t stale_matches() const { return stale_matches_; }
-  std::uint64_t shadows_spawned() const { return shadows_spawned_; }
+  std::uint64_t shadows_spawned() const { return claims_.spawned(); }
 
  private:
   void install();
@@ -90,21 +89,18 @@ class PoolRunner {
   Options options_;
   sim::RpcClient rpc_;
   sim::Lifetime life_;
-
-  // det-local(shadows_): touched only from this host's own message and
-  // timer events, same ownership story as VanillaRunner's shadow table.
-  std::map<std::uint64_t, std::unique_ptr<condor::Shadow>> shadows_;
+  /// Constructed before the runner's own boot hook is registered, so its
+  /// boot rule makes reloaded Running jobs Idle before boot republishes.
+  ClaimTable claims_;
   /// Currently published job (0 = none). Volatile: a crash drops it and the
   /// ad ages out of the Collector by TTL; boot republishes.
   std::uint64_t published_id_ = 0;
-  std::uint64_t claim_counter_ = 0;
 
   std::uint64_t deliveries_accepted_ = 0;
   std::uint64_t duplicate_deliveries_ = 0;
   std::uint64_t busy_rejections_ = 0;
   std::uint64_t matches_received_ = 0;
   std::uint64_t stale_matches_ = 0;
-  std::uint64_t shadows_spawned_ = 0;
 
   bool started_ = false;
   int boot_id_ = 0;

@@ -1,10 +1,10 @@
 // Runs vanilla-universe jobs on the personal pool.
 //
 // Bridges the Schedd queue to the Condor machinery: feeds idle vanilla jobs
-// to the Negotiator, and for each match spawns a Shadow that claims the
-// slot, activates the job, and reports completion / eviction (with
-// checkpoint) back into the queue. With GlideIn startds in the pool this is
-// exactly Fig. 2 of the paper.
+// to the Negotiator and hands each match to the ClaimTable, whose Shadow
+// claims the slot, activates the job, and reports completion / eviction
+// (with checkpoint) back into the queue. With GlideIn startds in the pool
+// this is exactly Fig. 2 of the paper.
 //
 // A job's ad (broker_job_ad) depends only on what was fixed at submit, so
 // the runner builds it once, the first time the job is listed, and shares
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -23,6 +22,7 @@
 #include "condorg/condor/collector.h"
 #include "condorg/condor/negotiator.h"
 #include "condorg/condor/shadow.h"
+#include "condorg/core/claim_table.h"
 #include "condorg/core/schedd.h"
 #include "condorg/sim/det.h"
 #include "condorg/sim/network.h"
@@ -49,8 +49,8 @@ class VanillaRunner {
 
   condor::Negotiator& negotiator() { return *negotiator_; }
 
-  std::uint64_t shadows_spawned() const { return shadows_spawned_; }
-  std::size_t active_shadows() const { return shadows_.size(); }
+  std::uint64_t shadows_spawned() const { return claims_.spawned(); }
+  std::size_t active_shadows() const { return claims_.active(); }
   /// Job ads built so far and not yet dropped (no terminal job is ever in
   /// the cache).
   std::size_t cached_job_ads() const { return job_ads_->size(); }
@@ -62,13 +62,12 @@ class VanillaRunner {
   void on_match(const condor::Match& match);
 
   Schedd& schedd_;
-  sim::Network& network_;
   sim::Host& host_;
-  VanillaRunnerOptions options_;
+  /// Built before the constructor makes the Negotiator, so its boot rule
+  /// makes reloaded Running jobs Idle before the Negotiator's boot cycle
+  /// lists them; declared first, so it outlives the Negotiator.
+  ClaimTable claims_;
   std::unique_ptr<condor::Negotiator> negotiator_;
-  std::map<std::uint64_t, std::unique_ptr<condor::Shadow>> shadows_;
-  std::uint64_t claim_counter_ = 0;
-  std::uint64_t shadows_spawned_ = 0;
   det::HostLocal<
       std::unordered_map<std::uint64_t, condor::Collector::AdPtr>>
       job_ads_;

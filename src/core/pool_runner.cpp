@@ -11,26 +11,19 @@ PoolRunner::PoolRunner(Schedd& schedd, sim::Network& network, Options options)
       network_(network),
       host_(schedd.host()),
       options_(std::move(options)),
-      rpc_(host_, network, std::string(kService) + ".rpc") {
+      rpc_(host_, network, std::string(kService) + ".rpc"),
+      claims_(schedd, network, options_.shadow, [this] {
+        publish();  // roll the window to the next idle job
+      }) {
   install();
   boot_id_ = host_.add_boot([this] {
     install();
-    // Same recovery rule as VanillaRunner: persisted Running without a live
-    // shadow means the shadow died with the host — the job is Idle again.
-    for (const std::uint64_t id : schedd_.jobs_with_status(JobStatus::kRunning)) {
-      schedd_.with_job(id, [](Job& job) {
-        if (job.desc.universe == Universe::kVanilla) {
-          job.status = JobStatus::kIdle;
-        }
-      });
-    }
     if (started_) {
       publish();
       advertise_loop();
     }
   });
   crash_listener_ = host_.add_crash_listener([this] {
-    shadows_.clear();
     published_id_ = 0;  // the ad ages out of the Collector by TTL
   });
 }
@@ -124,7 +117,7 @@ void PoolRunner::on_deliver(const sim::Message& message) {
 void PoolRunner::publish() {
   std::uint64_t next = 0;
   for (const std::uint64_t id : schedd_.idle_jobs(Universe::kVanilla)) {
-    if (shadows_.count(id)) continue;
+    if (claims_.claimed(id)) continue;
     next = id;
     break;
   }
@@ -174,43 +167,13 @@ void PoolRunner::on_match(const sim::Payload& body) {
     ++stale_matches_;  // window moved (crash, completion) before this landed
     return;
   }
-  const std::uint64_t job_id = published_id_;
-  const auto job = schedd_.query(job_id);
-  if (!job || job->status != JobStatus::kIdle || shadows_.count(job_id)) {
+  const auto job = schedd_.query(published_id_);
+  if (!job || job->status != JobStatus::kIdle || claims_.claimed(job->id)) {
     ++stale_matches_;
     return;
   }
-
-  condor::ShadowJob shadow_job;
-  shadow_job.job_id = name;
-  shadow_job.total_work_seconds = job->desc.runtime_seconds;
-  shadow_job.checkpointed_work = job->checkpointed_work;
-
-  const std::string claim_id = name + "." + std::to_string(++claim_counter_);
-  ++shadows_spawned_;
-  auto shadow = std::make_unique<condor::Shadow>(
-      host_, network_, shadow_job, sim::Address::parse(slot_address), claim_id,
-      options_.shadow,
-      /*on_done=*/
-      [this, job_id](const std::string&) {
-        schedd_.mark_completed(job_id);
-        host_.post(0.0, life_.wrap([this, job_id] {
-                     shadows_.erase(job_id);
-                     publish();  // roll the window to the next idle job
-                   }));
-      },
-      /*on_requeue=*/
-      [this, job_id](const std::string&, double checkpoint,
-                     const std::string& reason) {
-        schedd_.mark_evicted(job_id, checkpoint, reason);
-        host_.post(0.0, life_.wrap([this, job_id] {
-                     shadows_.erase(job_id);
-                     publish();
-                   }));
-      });
-  shadow->start();
-  schedd_.mark_executing(job_id, "slot=" + body.get("slot_name"));
-  shadows_.emplace(job_id, std::move(shadow));
+  claims_.claim(*job, name, sim::Address::parse(slot_address),
+                body.get("slot_name"));
   // The matched job is Running now, so this retracts its ad and advertises
   // the next pending job in the window.
   publish();

@@ -10,28 +10,15 @@ VanillaRunner::VanillaRunner(Schedd& schedd, sim::Network& network,
                              condor::Collector& collector,
                              VanillaRunnerOptions options)
     : schedd_(schedd),
-      network_(network),
       host_(schedd.host()),
-      options_(options),
+      claims_(schedd, network, options.shadow),
       job_ads_(host_, "vanilla_runner.job_ads") {
   negotiator_ = std::make_unique<condor::Negotiator>(
       host_, collector, [this] { return idle_jobs(); },
       [this](const condor::Match& match) { on_match(match); },
-      options_.negotiator);
-  // Submit-machine crash kills all shadows; jobs are re-queued from their
-  // persisted checkpoints when the queue reloads (their status snaps back
-  // to Idle on recovery below).
-  crash_listener_ = host_.add_crash_listener([this] {
-    for (const auto& [job_id, shadow] : shadows_) {
-      // Persisted state may say Running; the queue reload on boot keeps
-      // that, so normalize: a vanilla job without a live shadow is Idle.
-      schedd_.with_job(job_id, [](Job& job) {
-        if (job.status == JobStatus::kRunning) job.status = JobStatus::kIdle;
-      });
-    }
-    shadows_.clear();
-    job_ads_->clear();
-  });
+      options.negotiator);
+  // The reborn runner rebuilds each ad from the reloaded queue.
+  crash_listener_ = host_.add_crash_listener([this] { job_ads_->clear(); });
   queue_listener_ = schedd_.add_queue_listener([this](const Job& job) {
     if (job.status == JobStatus::kCompleted ||
         job.status == JobStatus::kRemoved) {
@@ -50,7 +37,7 @@ void VanillaRunner::start() { negotiator_->start(); }
 std::vector<condor::IdleJob> VanillaRunner::idle_jobs() {
   std::vector<condor::IdleJob> out;
   for (const std::uint64_t id : schedd_.idle_jobs(Universe::kVanilla)) {
-    if (shadows_.count(id)) continue;  // already being placed
+    if (claims_.claimed(id)) continue;  // already being placed
     auto [it, inserted] = job_ads_->try_emplace(id);
     if (inserted) {
       it->second = std::make_shared<const classad::ClassAd>(
@@ -67,38 +54,12 @@ condor::Collector::AdPtr VanillaRunner::cached_job_ad(std::uint64_t id) const {
 }
 
 void VanillaRunner::on_match(const condor::Match& match) {
-  const std::uint64_t job_id = std::stoull(match.job_id);
-  const auto job = schedd_.query(job_id);
+  const auto job = schedd_.query(std::stoull(match.job_id));
   if (!job || job->status != JobStatus::kIdle) return;
   const auto slot_addr = match.slot_ad.eval_string("MyAddress");
   if (!slot_addr) return;
-
-  condor::ShadowJob shadow_job;
-  shadow_job.job_id = match.job_id;
-  shadow_job.total_work_seconds = job->desc.runtime_seconds;
-  shadow_job.checkpointed_work = job->checkpointed_work;
-
-  const std::string claim_id =
-      match.job_id + "." + std::to_string(++claim_counter_);
-  ++shadows_spawned_;
-  auto shadow = std::make_unique<condor::Shadow>(
-      host_, network_, shadow_job, sim::Address::parse(*slot_addr), claim_id,
-      options_.shadow,
-      /*on_done=*/
-      [this, job_id](const std::string&) {
-        schedd_.mark_completed(job_id);
-        host_.post(0.0, [this, job_id] { shadows_.erase(job_id); });
-      },
-      /*on_requeue=*/
-      [this, job_id](const std::string&, double checkpoint,
-                     const std::string& reason) {
-        schedd_.mark_evicted(job_id, checkpoint, reason);
-        host_.post(0.0, [this, job_id] { shadows_.erase(job_id); });
-      });
-  shadow->start();
-  schedd_.mark_executing(job_id,
-                         "slot=" + *match.slot_ad.eval_string("Name"));
-  shadows_.emplace(job_id, std::move(shadow));
+  claims_.claim(*job, match.job_id, sim::Address::parse(*slot_addr),
+                *match.slot_ad.eval_string("Name"));
 }
 
 }  // namespace condorg::core

@@ -16,6 +16,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "condorg/sim/host.h"
@@ -78,15 +79,31 @@ class Network {
   }
 
  private:
-  static std::pair<std::string, std::string> ordered(const std::string& a,
-                                                     const std::string& b);
+  /// Unordered host pairs are stored smaller name first. The comparator is
+  /// transparent, so link() and partitioned() look up a pair of views and
+  /// copy no host name.
+  using HostPair = std::pair<std::string, std::string>;
+  using HostPairView = std::pair<std::string_view, std::string_view>;
+  struct PairLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      const std::string_view a_first = a.first;
+      const std::string_view b_first = b.first;
+      if (a_first != b_first) return a_first < b_first;
+      return std::string_view(a.second) < std::string_view(b.second);
+    }
+  };
+  static HostPairView ordered(std::string_view a, std::string_view b) {
+    return a <= b ? HostPairView{a, b} : HostPairView{b, a};
+  }
 
   Simulation& sim_;
   std::function<Host*(const std::string&)> resolver_;
   LinkConfig default_link_;
-  std::map<std::pair<std::string, std::string>, LinkConfig> links_;
-  std::set<std::pair<std::string, std::string>> partitions_;
-  std::set<std::string> isolated_;
+  std::map<HostPair, LinkConfig, PairLess> links_;
+  std::set<HostPair, PairLess> partitions_;
+  std::set<std::string, std::less<>> isolated_;
   util::Rng rng_;
   std::function<void(const Message&)> tap_;
 

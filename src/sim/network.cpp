@@ -92,14 +92,10 @@ Network::Network(Simulation& sim,
       resolver_(std::move(resolver)),
       rng_(sim.make_rng("network")) {}
 
-std::pair<std::string, std::string> Network::ordered(const std::string& a,
-                                                     const std::string& b) {
-  return a <= b ? std::make_pair(a, b) : std::make_pair(b, a);
-}
-
 void Network::set_link(const std::string& a, const std::string& b,
                        const LinkConfig& config) {
-  links_[ordered(a, b)] = config;
+  const auto [lo, hi] = ordered(a, b);
+  links_.insert_or_assign(HostPair(lo, hi), config);
 }
 
 const LinkConfig& Network::link(const std::string& a,
@@ -110,16 +106,18 @@ const LinkConfig& Network::link(const std::string& a,
 
 void Network::set_partitioned(const std::string& a, const std::string& b,
                               bool value) {
+  const auto [lo, hi] = ordered(a, b);
   if (value) {
-    partitions_.insert(ordered(a, b));
-  } else {
-    partitions_.erase(ordered(a, b));
+    partitions_.emplace(lo, hi);
+  } else if (const auto it = partitions_.find(HostPairView{lo, hi});
+             it != partitions_.end()) {
+    partitions_.erase(it);
   }
 }
 
 bool Network::partitioned(const std::string& a, const std::string& b) const {
-  return partitions_.count(ordered(a, b)) > 0 || isolated_.count(a) > 0 ||
-         isolated_.count(b) > 0;
+  return partitions_.contains(ordered(a, b)) || isolated_.contains(a) ||
+         isolated_.contains(b);
 }
 
 void Network::set_isolated(const std::string& host, bool isolated) {
@@ -138,18 +136,18 @@ void Network::send(Message message) {
   ++sent_;
   // Local delivery (same host) bypasses the WAN: no loss, tiny latency.
   const bool local = message.from.host == message.to.host;
+  const LinkConfig* cfg = nullptr;  // the WAN link; unused for local sends
   if (!local) {
     if (partitioned(message.from.host, message.to.host)) {
       ++blocked_;
       return;
     }
-    const LinkConfig& cfg = link(message.from.host, message.to.host);
-    if (cfg.loss_probability > 0.0 && rng_.chance(cfg.loss_probability)) {
+    cfg = &link(message.from.host, message.to.host);
+    if (cfg->loss_probability > 0.0 && rng_.chance(cfg->loss_probability)) {
       ++lost_;
       return;
     }
   }
-  const LinkConfig& cfg = link(message.from.host, message.to.host);
   double latency;
   if (local) {
     latency = 1e-4;
@@ -159,12 +157,12 @@ void Network::send(Message message) {
     // delivery timestamp — the controller then permutes delivery order via
     // the kernel's bucket pick.
     const double quantum = ctl->delivery_quantum();
-    const double raw = sim_.now() + cfg.latency;
+    const double raw = sim_.now() + cfg->latency;
     latency = std::ceil(raw / quantum) * quantum - sim_.now();
     if (latency <= 0.0) latency = quantum;
   } else {
-    latency = cfg.latency +
-              (cfg.jitter > 0.0 ? rng_.uniform(0.0, cfg.jitter) : 0.0);
+    latency = cfg->latency +
+              (cfg->jitter > 0.0 ? rng_.uniform(0.0, cfg->jitter) : 0.0);
   }
   sim_.schedule_at(sim_.now() + latency, [this, message = std::move(message)] {
     // Partition may have appeared while in flight.

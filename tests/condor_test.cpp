@@ -427,25 +427,6 @@ TEST_F(PoolFixture, NegotiatorSkipsClaimedSlots) {
   EXPECT_EQ(matched[0].job_id, "idle");
 }
 
-TEST_F(PoolFixture, NegotiatorSlotConstraintIsConfigurable) {
-  cc::Startd startd(node1, world.net(), "s1@node1", slot_options());
-  std::string done;
-  auto shadow = run_shadow("running", 1000.0, 0.0, startd.address(), &done);
-  world.sim().run_until(70.0);  // job running; fresh ad says "Running"
-  std::vector<cc::IdleJob> queue = {idle_job("idle")};
-  std::vector<cc::Match> matched;
-  cc::Negotiator::Options options;
-  options.slot_constraint = "State == \"Running\"";  // deliberately inverted
-  cc::Negotiator negotiator(
-      submit, collector, [&] { return queue; },
-      [&](const cc::Match& m) { matched.push_back(m); }, options);
-  negotiator.negotiate_once();
-  // The default constraint would skip the busy slot; the configured one
-  // selects it instead.
-  ASSERT_EQ(matched.size(), 1u);
-  EXPECT_EQ(matched[0].slot_ad.eval_string("State"), "Running");
-}
-
 // ---------- explicit shutdown request ----------
 
 TEST_F(PoolFixture, ShutdownMessageEvictsAndExits) {

@@ -856,8 +856,16 @@ TEST_F(VanillaPoolFixture, SubmitHostCrashClearsAdCacheJobsRunOnce) {
   runner.start();
   world.sim().run_until(130.0);  // two running, the rest idle and cached
   ASSERT_GT(runner.cached_job_ads(), 0u);
+  const std::size_t running = schedd.count(core::JobStatus::kRunning);
+  ASSERT_GT(running, 0u);
   submit.crash_for(120.0);
   EXPECT_EQ(runner.cached_job_ads(), 0u);
+  EXPECT_EQ(runner.active_shadows(), 0u);
+  // A dead host writes nothing: the queue keeps what was persisted before
+  // the crash, and the boot rule turns the shadowless Running jobs Idle.
+  EXPECT_EQ(schedd.count(core::JobStatus::kRunning), running);
+  world.sim().run_until(world.now() + 121.0);
+  EXPECT_EQ(schedd.count(core::JobStatus::kRunning), 0u);
 
   run_to_completion(20000.0);
   for (const auto id : ids) {

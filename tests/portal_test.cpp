@@ -11,13 +11,17 @@
 #include <string>
 #include <vector>
 
+#include "condorg/classad/parser.h"
 #include "condorg/condor/collector.h"
+#include "condorg/condor/pool_negotiator.h"
+#include "condorg/condor/startd.h"
 #include "condorg/core/pool_runner.h"
 #include "condorg/core/portal.h"
 #include "condorg/core/portal_client.h"
 #include "condorg/core/schedd.h"
 #include "condorg/sim/world.h"
 
+namespace ca = condorg::classad;
 namespace cc = condorg::condor;
 namespace co = condorg::core;
 namespace cs = condorg::sim;
@@ -201,6 +205,101 @@ TEST_F(PortalFixture, SubmitHostCrashResumesWithoutDoubleSubmitting) {
   // the rebooted submit host picks up where it left off.
   EXPECT_TRUE(ada.client->drained());
   EXPECT_EQ(ada.schedd->jobs().size(), 4u);
+}
+
+// A startd eviction mid-run (the slot's allocation ends) requeues the job
+// with its checkpoint and rolls the runner's publish window back to it; the
+// pool then matches it to the other slot, where it completes exactly once,
+// resuming from the checkpointed work.
+TEST(PoolRunnerClaims, EvictionRequeuesWithCheckpointAndRollsTheWindow) {
+  cs::World world{23};
+  cs::Host& central = world.add_host("cm.grid");
+  cc::Collector collector(central, world.net());
+  cc::PoolNegotiatorOptions nopt;
+  nopt.cycle_period = 10.0;
+  cc::PoolNegotiator negotiator(central, world.net(), collector, nopt);
+
+  cs::Host& submit = world.add_host("ada.grid");
+  co::Schedd schedd(submit);
+  co::PoolRunnerOptions ropt;
+  ropt.collector = collector.address();
+  ropt.advertise_period = 30.0;
+  ropt.shadow.poll_interval = 30.0;
+  co::PoolRunner runner(schedd, world.net(), ropt);
+
+  auto add_startd = [&](const std::string& name, int mips,
+                        double expires_at) {
+    cc::StartdOptions sopt;
+    sopt.collector = collector.address();
+    sopt.advertise_period = 30.0;
+    sopt.checkpoint_interval = 100.0;
+    sopt.allocation_expires_at = expires_at;
+    sopt.base_ad = ca::parse_ad("[Arch = \"X86_64\"; Mips = " +
+                                std::to_string(mips) + "]");
+    return std::make_unique<cc::Startd>(world.add_host(name), world.net(),
+                                        "slot1@" + name, sopt);
+  };
+  // The job ranks the fast slot first; that slot's allocation ends at
+  // t=400, well before the job's 1000 s of work are done.
+  const auto fast = add_startd("fast.grid", 200, /*expires_at=*/400.0);
+  const auto slow = add_startd("slow.grid", 100, /*expires_at=*/1e18);
+
+  co::JobDescription desc;
+  desc.universe = co::Universe::kVanilla;
+  desc.runtime_seconds = 1000.0;
+  desc.notify_email = false;
+  desc.ad.insert_expr("Rank", "other.Mips");
+  const std::uint64_t id = schedd.submit(desc);
+  const std::string ad_name = "ada.grid#job" + std::to_string(id);
+  negotiator.start();
+  runner.start();
+
+  auto event_times = [&](co::LogEventKind kind) {
+    std::vector<double> times;
+    for (const auto& event : schedd.log().events_for(id)) {
+      if (event.kind == kind) times.push_back(event.time);
+    }
+    return times;
+  };
+  auto step = [&](double seconds, double horizon) {
+    ASSERT_LT(world.now(), horizon);
+    world.sim().run_until(world.now() + seconds);
+  };
+
+  while (schedd.query(id)->status != co::JobStatus::kRunning) {
+    ASSERT_NO_FATAL_FAILURE(step(1.0, 300.0));
+  }
+  // Claimed: the job's ad left the window, and the pool with it.
+  world.sim().run_until(world.now() + 1.0);
+  EXPECT_EQ(collector.lookup(ad_name), nullptr);
+  EXPECT_EQ(fast->state(), cc::Startd::State::kRunning);
+
+  // Evicted: requeued Idle with the work done so far, and re-advertised.
+  while (event_times(co::LogEventKind::kEvicted).empty() ||
+         collector.lookup(ad_name) == nullptr) {
+    ASSERT_NO_FATAL_FAILURE(step(0.5, 1000.0));
+  }
+  const co::Job evicted = *schedd.query(id);
+  EXPECT_EQ(evicted.status, co::JobStatus::kIdle);
+  EXPECT_GT(evicted.checkpointed_work, 200.0);
+  EXPECT_LT(evicted.checkpointed_work, desc.runtime_seconds);
+  EXPECT_TRUE(fast->exited());
+
+  while (schedd.query(id)->status != co::JobStatus::kCompleted) {
+    ASSERT_NO_FATAL_FAILURE(step(30.0, 5000.0));
+  }
+  world.sim().run_until(world.now() + 600.0);  // nothing runs it again
+  const auto executes = event_times(co::LogEventKind::kExecute);
+  const auto terminated = event_times(co::LogEventKind::kTerminated);
+  ASSERT_EQ(executes.size(), 2u);
+  ASSERT_EQ(terminated.size(), 1u);
+  EXPECT_EQ(event_times(co::LogEventKind::kEvicted).size(), 1u);
+  // The second run only does the work the checkpoint did not cover.
+  EXPECT_LT(terminated[0] - executes[1],
+            desc.runtime_seconds - evicted.checkpointed_work + 60.0);
+  EXPECT_EQ(slow->jobs_completed(), 1u);
+  EXPECT_EQ(runner.shadows_spawned(), 2u);
+  EXPECT_EQ(collector.lookup(ad_name), nullptr);
 }
 
 }  // namespace

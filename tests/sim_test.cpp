@@ -589,6 +589,66 @@ TEST(Network, LocalDeliveryBypassesLossAndPartition) {
   EXPECT_EQ(inbox.messages.size(), 1u);
 }
 
+TEST(Network, LongHostNamesMatchInEitherArgumentOrder) {
+  // Names past the 15-byte small-string buffer; `lo` sorts before `hi`,
+  // and every setter below names the pair in the other order from the
+  // send or query that must see it.
+  const std::string lo = "desktop.cs.wisc.edu";
+  const std::string hi = "gatekeeper.ncsa.uiuc.edu";
+  const std::string other = "gatekeeper.ncsa.uiuc.edu.cluster";
+  cs::World world(7);
+  cs::Host& lo_host = world.add_host(lo);
+  cs::Host& hi_host = world.add_host(hi);
+  cs::Host& other_host = world.add_host(other);
+  Inbox in_lo, in_hi, in_other;
+  in_lo.attach(lo_host, "svc");
+  in_hi.attach(hi_host, "svc");
+  in_other.attach(other_host, "svc");
+
+  cs::LinkConfig lossy;
+  lossy.loss_probability = 1.0;
+  world.net().set_link(hi, lo, lossy);
+  EXPECT_DOUBLE_EQ(world.net().link(lo, hi).loss_probability, 1.0);
+  EXPECT_DOUBLE_EQ(world.net().link(lo, other).loss_probability, 0.0);
+  world.net().send(make_message(lo + "/x", hi + "/svc", "ping"));
+  world.net().send(make_message(hi + "/x", lo + "/svc", "ping"));
+  world.net().send(make_message(lo + "/x", other + "/svc", "ping"));
+  world.sim().run();
+  EXPECT_TRUE(in_hi.messages.empty());
+  EXPECT_TRUE(in_lo.messages.empty());
+  EXPECT_EQ(in_other.messages.size(), 1u);
+  EXPECT_EQ(world.net().lost(), 2u);
+
+  // Overwriting the link in the other order replaces the lossy entry.
+  world.net().set_link(lo, hi, cs::LinkConfig{});
+  world.net().send(make_message(hi + "/x", lo + "/svc", "ping"));
+  world.sim().run();
+  EXPECT_EQ(in_lo.messages.size(), 1u);
+
+  world.net().set_partitioned(hi, lo, true);
+  EXPECT_TRUE(world.net().partitioned(lo, hi));
+  EXPECT_FALSE(world.net().partitioned(lo, other));
+  world.net().send(make_message(lo + "/x", hi + "/svc", "ping"));
+  world.sim().run();
+  EXPECT_TRUE(in_hi.messages.empty());
+  EXPECT_EQ(world.net().blocked_by_partition(), 1u);
+  world.net().set_partitioned(lo, hi, false);
+  EXPECT_FALSE(world.net().partitioned(hi, lo));
+
+  world.net().set_isolated(hi, true);
+  EXPECT_TRUE(world.net().isolated(hi));
+  EXPECT_TRUE(world.net().partitioned(lo, hi));
+  EXPECT_TRUE(world.net().partitioned(hi, other));
+  world.net().send(make_message(other + "/x", hi + "/svc", "ping"));
+  world.sim().run();
+  EXPECT_TRUE(in_hi.messages.empty());
+  EXPECT_EQ(world.net().blocked_by_partition(), 2u);
+  world.net().set_isolated(hi, false);
+  world.net().send(make_message(lo + "/x", hi + "/svc", "ping"));
+  world.sim().run();
+  EXPECT_EQ(in_hi.messages.size(), 1u);
+}
+
 TEST(Network, TransferSecondsScalesWithSize) {
   cs::World world;
   cs::LinkConfig link;

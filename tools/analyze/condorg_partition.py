@@ -23,11 +23,12 @@ src/sim/include/condorg/sim/det.h):
      ambient-RNG, and unordered-iteration-into-trace escapes fail this
      gate too (one rule engine: tools/lint/condorg_lint.py is imported,
      not reimplemented).
-  6. Emit partition_report.json: the cross-host cut graph of legal cross-host
-     edges (protocol -> from/to partition, with the message types and
-     client/server call sites discovered in the tree as evidence). The
-     report fails the run if any of GRAM/GASS/MDS/GSI has no discovered
-     message boundary — a partition claim with no evidence is a bug.
+  6. Emit partition_report.json: the partition map, the HostLocal field
+     inventory and the mutable-global inventory. Which message types cross
+     the cut is not restated here: src/proto/protocols.json marks them
+     (`"cut": true`), condorg_proto.py ties those entries to the send
+     sites, and tools/condorg_profile_check.cpp checks them against the
+     traffic the kernel profiler observes.
 
 Engines: when python bindings for libclang and a compile_commands.json are
 available, an AST pass adds precise cross-TU call checking; the regex
@@ -43,7 +44,7 @@ for a partition rule that no longer suppresses anything is itself an error
 (rule: stale-suppression) — tidy.sh's burn-down policy, shared with the
 lint and the proto analyzer.
 
-Exit status: 0 = clean, 1 = violations or missing coverage, 2 = usage.
+Exit status: 0 = clean, 1 = violations, 2 = usage.
 """
 
 import argparse
@@ -65,22 +66,6 @@ def _load_lint():
 
 
 lint = _load_lint()
-
-# ---------------------------------------------------------------------------
-# The cross-host cut model: every legal cross-host interaction in the paper's
-# deployment, keyed by the message-type prefix each protocol module uses.
-# The scan below must find real client call sites and server dispatch sites
-# for every entry — the table is the claim, the tree is the evidence.
-# ---------------------------------------------------------------------------
-PROTOCOLS = {
-    "GRAM": {"prefixes": ("gram", "jm"), "from": "user", "to": "site"},
-    "GASS": {"prefixes": ("file",), "from": "site", "to": "user"},
-    "MDS": {"prefixes": ("grip", "grrp"), "from": "user", "to": "central"},
-    "GSI": {"prefixes": ("myproxy",), "from": "user", "to": "central"},
-    "CONDOR": {"prefixes": ("startd", "shadow", "collector"),
-               "from": "user", "to": "user"},
-}
-REQUIRED_PROTOCOLS = ("GRAM", "GASS", "MDS", "GSI")
 
 # The rules this analyzer owns (stale-suppression detection judges only
 # these: tools/analyze/allowlist.txt is shared with condorg_proto.py).
@@ -111,9 +96,6 @@ STATE_FIELD = re.compile(
     r"([A-Za-z_]\w*)\s*(?:;|\{\})")
 DET_LOCAL = re.compile(r"det-local\(([A-Za-z_]\w*)\)")
 FWD_DECL = re.compile(r"^\s*class\s+[A-Za-z_]\w*\s*;")
-MESSAGE_LITERAL = re.compile(r'"([a-z_]+)\.([a-z_.]+)"')
-CLIENT_SITE = re.compile(r"(?:\.|->)(?:call|notify)\s*\(|rpc_notify\s*\(")
-SERVER_SITE = re.compile(r"message\.type\s*==|\.type\s*==")
 # A line that is a declared message boundary: endpoint naming or kernel
 # messaging API. Calls THROUGH these are the legal cross-host cut.
 BOUNDARY = re.compile(r"sim::Address|sim::Network|sim::Rpc|rpc_reply|"
@@ -129,7 +111,6 @@ class Analysis:
         self.host_local_fields = []  # dicts: class/field/type/file/line
         self.violations = []        # lint.Violation
         self.mutable_globals = []   # dicts for the report
-        self.edges = {}             # protocol -> edge dict
         self.used_allows = set()    # (relpath, rule) file-level suppressions
 
 
@@ -282,57 +263,7 @@ def scan_file(analysis, path, allows):
                            f"det-local({field}) comment")
 
 
-def scan_edges(analysis):
-    """Pass 3: harvest the cross-host cut evidence — message-type literals at
-    client call sites and server dispatch sites, grouped by protocol."""
-    for name, spec in PROTOCOLS.items():
-        analysis.edges[name] = {
-            "from": spec["from"], "to": spec["to"],
-            "messages": set(), "clients": set(), "servers": set(),
-            "client_partitions": set(),
-        }
-    prefix_to_protocol = {}
-    for name, spec in PROTOCOLS.items():
-        for prefix in spec["prefixes"]:
-            prefix_to_protocol[prefix] = name
-    for path in iter_src_files(analysis.root):
-        rel = os.path.relpath(path, analysis.root)
-        for raw in read_lines(path):
-            if lint.COMMENT_LINE.match(raw):
-                continue
-            for m in MESSAGE_LITERAL.finditer(raw):
-                protocol = prefix_to_protocol.get(m.group(1))
-                if protocol is None:
-                    continue
-                edge = analysis.edges[protocol]
-                message = f"{m.group(1)}.{m.group(2)}"
-                bare = lint.strip_noise(raw)
-                # strip_noise drops the literal itself; classify on the
-                # raw line's call shape.
-                if CLIENT_SITE.search(raw):
-                    edge["messages"].add(message)
-                    edge["clients"].add(rel)
-                    home = analysis.file_partition.get(rel)
-                    if home:
-                        edge["client_partitions"].add(home)
-                elif SERVER_SITE.search(bare) or "register_service" in bare:
-                    edge["messages"].add(message)
-                    edge["servers"].add(rel)
-
-
 def build_report(analysis, diagnostics):
-    edges = []
-    for name in sorted(analysis.edges):
-        edge = analysis.edges[name]
-        edges.append({
-            "protocol": name,
-            "from": edge["from"],
-            "to": edge["to"],
-            "observed_client_partitions": sorted(edge["client_partitions"]),
-            "messages": sorted(edge["messages"]),
-            "client_files": sorted(edge["clients"]),
-            "server_files": sorted(edge["servers"]),
-        })
     partitions = {}
     for cls, partition in sorted(analysis.partitions.items()):
         partitions.setdefault(partition, []).append(cls)
@@ -345,28 +276,12 @@ def build_report(analysis, diagnostics):
         "mutable_globals": sorted(
             analysis.mutable_globals,
             key=lambda g: (g["file"], g["line"])),
-        "cross_host_edges": edges,
         "diagnostics": diagnostics,
     }
 
 
-def check_coverage(analysis):
-    """The required protocols must each have discovered messages AND both
-    a client and a server site: a cross-host cut with no evidence fails."""
-    problems = []
-    for name in REQUIRED_PROTOCOLS:
-        edge = analysis.edges[name]
-        if not edge["messages"]:
-            problems.append(f"{name}: no message types discovered")
-        if not edge["clients"]:
-            problems.append(f"{name}: no client call sites discovered")
-        if not edge["servers"]:
-            problems.append(f"{name}: no server dispatch sites discovered")
-    return problems
-
-
 def run_lint_rules(analysis, root):
-    """Pass 4: the determinism lint's own engine over src/, same rules and
+    """Pass 3: the determinism lint's own engine over src/, same rules and
     allowlist as the lint.determinism gate — subsumed here so one command
     gives the full static story."""
     allows = lint.load_allowlist(os.path.join(root, "tools", "lint",
@@ -513,7 +428,6 @@ def main():
     collect_ownership(analysis)
     for path in iter_src_files(root):
         scan_file(analysis, path, allows)
-    scan_edges(analysis)
     run_lint_rules(analysis, root)
     build_dir = args.build_dir if os.path.isabs(args.build_dir) \
         else os.path.join(root, args.build_dir)
@@ -525,7 +439,6 @@ def main():
         allowlist_path, root, analysis.used_allows, PARTITION_RULES))
 
     analysis.violations.sort(key=lambda v: (v.path, v.line_no, v.rule))
-    coverage_problems = check_coverage(analysis)
 
     report = build_report(analysis, len(analysis.violations))
     report["engine"] = engine
@@ -540,21 +453,16 @@ def main():
         for v in analysis.violations:
             print(v)
 
-    for problem in coverage_problems:
-        print(f"condorg_partition: cross-host cut coverage: {problem}",
-              file=sys.stderr)
-    if analysis.violations or coverage_problems:
+    if analysis.violations:
         if not args.json:
             print(f"\ncondorg_partition: {len(analysis.violations)} "
-                  f"violation(s), {len(coverage_problems)} coverage "
-                  "problem(s)")
+                  "violation(s)")
         return 1
     if not args.json:
         print(f"condorg_partition: clean — {len(analysis.partitions)} "
               f"annotated classes, {len(analysis.host_local_fields)} "
-              f"HostLocal fields, "
-              f"{sum(len(e['messages']) for e in analysis.edges.values())} "
-              "cross-host message types")
+              f"HostLocal fields, {len(analysis.mutable_globals)} "
+              "inventoried mutable globals")
     return 0
 
 

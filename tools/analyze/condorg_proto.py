@@ -8,11 +8,11 @@ and partition — yet the protocol is encoded as stringly-typed
 `message.type == "jm.commit"` if-chains scattered across the daemons, so a
 missing handler arm, a request path that forgets to reply, or a timer that
 fails to re-arm compiles clean and surfaces only as a timeout the RPC layer
-politely retries around. This tool is the third side of the triangle started
-by the partition analyzer (static cross-host cut) and the kernel profiler
-(dynamic traffic matrix): a machine-readable spec the code is checked
-against, with condorg_profile_check closing the loop
-(spec == static extraction >= dynamic matrix).
+politely retries around. This tool checks the code against a
+machine-readable spec; the spec's `"cut": true` entries are the one
+statement of which message types cross hosts, and condorg_profile_check
+closes the loop against the kernel profiler's traffic matrix
+(spec cut == dynamic cross-partition set).
 
 Rules:
 

@@ -1,37 +1,27 @@
-// Dynamic/static cross-check of the cross-host cut message classification.
+// Dynamic check of the cross-host cut declared in the protocol spec.
 //
-// PR 6's analyzer (tools/analyze/condorg_partition.py) classifies the
-// GRAM/GASS/MDS/GSI message types that cross the user/site/central
-// partition boundary *statically*, from the source. This tool measures the
-// same boundary *dynamically*: it arms sim::Profiler, runs one campaign
-// that exercises every protocol leg (two-phase submission, staging, the
-// per-site gram.probe_jobs, MyProxy refresh, MDS registration/query, and the
-// rare recovery RPCs no healthy campaign emits — jm.ping,
-// restart_jobmanager, update_gass, refresh_credential, cancel, the odd GASS
-// verbs, grrp.unregister), then
-// compares the set of message types observed crossing partitions in the
-// profiler's traffic matrix against the report's cut classification.
+// src/proto/protocols.json marks every message type that crosses the
+// user/site/central partition boundary (`"cut": true`);
+// tools/analyze/condorg_proto.py ties those entries to the send and
+// dispatch sites in the source. This tool measures the same boundary
+// *dynamically*: it arms sim::Profiler, runs one campaign that exercises
+// every protocol leg (two-phase submission, staging, the per-site
+// gram.probe_jobs, MyProxy refresh, MDS registration/query, and the rare
+// recovery RPCs no healthy campaign emits — jm.ping, restart_jobmanager,
+// update_gass, refresh_credential, cancel, the odd GASS verbs,
+// grrp.unregister), then compares the set of message types observed
+// crossing partitions in the profiler's traffic matrix against the spec's
+// cut entries.
 //
 // The two sets must agree exactly:
-//   * a type classified but never observed means the scenario (or the
-//     analyzer's notion of "cross-partition") has drifted from the code;
-//   * a type observed but never classified means the static analyzer
-//     missed a cut message — the exact bug it exists to prevent.
+//   * a cut entry never observed crossing means the scenario (or the
+//     spec's notion of "cross-partition") has drifted from the code;
+//   * a type observed crossing with no cut entry is a cut message the spec
+//     is missing — the exact drift the spec exists to prevent.
 //
-// With --proto, the gate becomes three-way: the checked-in protocol spec
-// (src/proto/protocols.json, exported by tools/analyze/condorg_proto.py
-// into proto_report.json) must equal the static cut, and the dynamic
-// matrix must be a subset of the spec:
-//
-//     spec == static extraction ⊇ dynamic matrix
-//
-// so a message type cannot enter the cross-host cut without a spec entry, and
-// a spec entry cannot outlive the code that sends it.
-//
-// Usage: condorg_profile_check <partition_report.json>
-//            [--proto proto_report.json] [--dump profile.json]
-// Exit:  0 = sets agree, 1 = mismatch (details on stderr),
-//        77 = report missing (ctest SKIP_RETURN_CODE).
+// Usage: condorg_profile_check <protocols.json> [--dump profile.json]
+// Exit:  0 = sets agree, 1 = mismatch or unreadable spec (details on
+//        stderr), 2 = usage.
 
 #include <fstream>
 #include <iostream>
@@ -69,26 +59,20 @@ std::string base_type(const std::string& type) {
   return type;
 }
 
-/// Union of "messages" over every cross_host_edges entry whose from/to
-/// partitions differ (the CONDOR shadow/startd protocol is user-internal
-/// and stays out of the cut).
-std::set<std::string> static_cut(const util::JsonValue& report,
-                                 std::vector<std::string>& problems) {
+/// The spec's cut: the type of every message entry marked `"cut": true`.
+std::set<std::string> spec_cut(const util::JsonValue& spec,
+                               std::vector<std::string>& problems) {
   std::set<std::string> cut;
-  const util::JsonValue* edges = report.find("cross_host_edges");
-  if (edges == nullptr) {
-    problems.push_back("partition report has no cross_host_edges");
+  const util::JsonValue* messages = spec.find("messages");
+  if (messages == nullptr) {
+    problems.push_back("protocol spec has no messages table");
     return cut;
   }
-  for (const util::JsonValue& edge : edges->items()) {
-    const util::JsonValue* from = edge.find("from");
-    const util::JsonValue* to = edge.find("to");
-    const util::JsonValue* messages = edge.find("messages");
-    if (from == nullptr || to == nullptr || messages == nullptr) continue;
-    if (from->as_string() == to->as_string()) continue;
-    for (const util::JsonValue& message : messages->items()) {
-      cut.insert(message.as_string());
-    }
+  for (const util::JsonValue& entry : messages->items()) {
+    const util::JsonValue* type = entry.find("type");
+    const util::JsonValue* in_cut = entry.find("cut");
+    if (type == nullptr || in_cut == nullptr || !in_cut->as_bool()) continue;
+    cut.insert(type->as_string());
   }
   return cut;
 }
@@ -116,9 +100,9 @@ Observation run_scenario(std::vector<std::string>& problems) {
   testbed.add_site(pool);
   condorg::mds::GiisServer& giis = testbed.enable_mds("giis.grid.org");
 
-  // Host -> partition, mirroring the analyzer's classification: the agent
-  // machine is "user", site front-ends and clusters are "site", and the
-  // shared directory/credential services are "central".
+  // Host -> partition, mirroring the CONDORG_HOST_LOCAL annotations: the
+  // agent machine is "user", site front-ends and clusters are "site", and
+  // the shared directory/credential services are "central".
   const std::map<std::string, std::string> partition_of = {
       {"submit.wisc.edu", "user"},         {"pbs.anl.gov", "site"},
       {"pbs.anl.gov.cluster", "site"},     {"pool.wisc.edu", "site"},
@@ -251,110 +235,53 @@ Observation run_scenario(std::vector<std::string>& problems) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string report_path;
-  std::string proto_path;
+  const char* usage =
+      "usage: condorg_profile_check <protocols.json> [--dump profile.json]\n";
+  std::string spec_path;
   std::string dump_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--dump" && i + 1 < argc) {
       dump_path = argv[++i];
-    } else if (arg == "--proto" && i + 1 < argc) {
-      proto_path = argv[++i];
-    } else if (report_path.empty()) {
-      report_path = arg;
+    } else if (spec_path.empty()) {
+      spec_path = arg;
     } else {
-      std::cerr << "usage: condorg_profile_check <partition_report.json>"
-                   " [--proto proto_report.json] [--dump profile.json]\n";
+      std::cerr << usage;
       return 2;
     }
   }
-  if (report_path.empty()) {
-    std::cerr << "usage: condorg_profile_check <partition_report.json>"
-                 " [--proto proto_report.json] [--dump profile.json]\n";
+  if (spec_path.empty()) {
+    std::cerr << usage;
     return 2;
   }
 
-  std::ifstream in(report_path);
+  std::ifstream in(spec_path);
   if (!in) {
-    std::cout << "SKIP: " << report_path
-              << " not found (run the analyze.partition stage first)\n";
-    return 77;
+    std::cerr << "FAIL: cannot read " << spec_path << "\n";
+    return 1;
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const auto report = util::JsonValue::parse(buffer.str());
-  if (!report) {
-    std::cerr << "FAIL: " << report_path << " is not valid JSON\n";
+  const auto spec = util::JsonValue::parse(buffer.str());
+  if (!spec) {
+    std::cerr << "FAIL: " << spec_path << " is not valid JSON\n";
     return 1;
   }
 
   std::vector<std::string> problems;
-  const std::set<std::string> classified = static_cut(*report, problems);
-
-  // Spec leg of the triangle (optional, third analyzer's report).
-  bool have_spec = false;
-  std::set<std::string> spec;
-  if (!proto_path.empty()) {
-    std::ifstream proto_in(proto_path);
-    if (!proto_in) {
-      std::cout << "SKIP: " << proto_path
-                << " not found (run the analyze.proto stage first)\n";
-      return 77;
-    }
-    std::stringstream proto_buffer;
-    proto_buffer << proto_in.rdbuf();
-    const auto proto = util::JsonValue::parse(proto_buffer.str());
-    if (!proto) {
-      std::cerr << "FAIL: " << proto_path << " is not valid JSON\n";
-      return 1;
-    }
-    const util::JsonValue* cut_types = proto->find("cut_types");
-    if (cut_types == nullptr) {
-      std::cerr << "FAIL: " << proto_path << " has no cut_types\n";
-      return 1;
-    }
-    have_spec = true;
-    for (const util::JsonValue& type : cut_types->items()) {
-      spec.insert(type.as_string());
-    }
-    // spec == static: every spec'd cut type must be classified as crossing
-    // by the partition analyzer, and vice versa.
-    for (const std::string& type : spec) {
-      if (classified.count(type) == 0) {
-        problems.push_back(
-            "in protocol spec but not in the static cut: " + type);
-      }
-    }
-    for (const std::string& type : classified) {
-      if (spec.count(type) == 0) {
-        problems.push_back(
-            "in the static cut but missing from the protocol spec: " + type);
-      }
-    }
-  }
-
+  const std::set<std::string> cut = spec_cut(*spec, problems);
   const Observation observed = run_scenario(problems);
 
-  // spec ⊇ dynamic: nothing may cross the cut without a spec entry. (The
-  // reverse is not required here — spec == static already ties the spec to
-  // the code, and static == dynamic is checked below.)
-  if (have_spec) {
-    for (const std::string& type : observed.cross_partition) {
-      if (spec.count(type) == 0) {
-        problems.push_back(
-            "observed crossing but missing from the protocol spec: " + type);
-      }
-    }
-  }
-
-  for (const std::string& type : classified) {
+  for (const std::string& type : cut) {
     if (observed.cross_partition.count(type) == 0) {
-      problems.push_back("classified but never observed crossing: " + type);
+      problems.push_back("in the spec's cut but never observed crossing: " +
+                         type);
     }
   }
   for (const std::string& type : observed.cross_partition) {
-    if (classified.count(type) == 0) {
-      problems.push_back("observed crossing but not classified: " + type);
+    if (cut.count(type) == 0) {
+      problems.push_back(
+          "observed crossing but missing from the spec's cut: " + type);
     }
   }
 
@@ -363,19 +290,15 @@ int main(int argc, char** argv) {
     out << observed.profile_json << "\n";
   }
 
-  std::cout << "classified cut types: " << classified.size()
+  std::cout << "spec cut types: " << cut.size()
             << ", observed cross-partition types: "
-            << observed.cross_partition.size();
-  if (have_spec) std::cout << ", spec cut types: " << spec.size();
-  std::cout << "\n";
+            << observed.cross_partition.size() << "\n";
   if (!problems.empty()) {
     for (const std::string& problem : problems) {
       std::cerr << "FAIL: " << problem << "\n";
     }
     return 1;
   }
-  std::cout << (have_spec
-                    ? "OK: spec == static cut ⊇ dynamic traffic matrix\n"
-                    : "OK: traffic matrix agrees with the static cut\n");
+  std::cout << "OK: spec cut == dynamic traffic matrix\n";
   return 0;
 }
